@@ -19,8 +19,8 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import GaussianLaw, accuracy_gamma, gaussian_call, ou_asian_law, scale_floor
 from .correlators import CorrelatorEngine
-from .generator import ModelSpec, NigParams, NumericalError
+from .generator import ModelSpec, NigParams, NumericalError, max_order
 from .hermite import GhpBasis, payoff_coefficients, payoff_l2_error, payoff_series_eval
 from .montecarlo import McConfig, mc_price
 from .pricing import (
@@ -43,7 +43,6 @@ from .pricing import (
 )
 
 SCHEMA_VERSION = 1
-THREADS_ENV = "ASIANHERMITE_THREADS"
 
 PRICING_COLUMNS = [
     "experiment", "model", "K", "a", "b", "N", "m", "price", "gamma",
@@ -67,6 +66,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@lru_cache(maxsize=None)
 def _engine_version() -> str:
     here = os.path.dirname(os.path.abspath(__file__))
     try:
@@ -79,17 +79,6 @@ def _engine_version() -> str:
     except Exception:
         pass
     return __version__
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV}: must be at least 1")
-    return n
 
 
 # ----------------------------------------------------------------------
@@ -240,23 +229,19 @@ def _benchmark_law(model: ModelSpec, t: float, y0: float, times) -> GaussianLaw 
     return ou_asian_law(model, t, y0, times)
 
 
-def _run_pricing_cell(exp: PricingExperiment, engine, times, m, strike, scale, cell_idx):
+def _run_pricing_cell(exp: PricingExperiment, engine, times, m, drift, law, strike, scale,
+                      cell_idx):
     started = time.perf_counter()
-    if exp.a_policy == "mean":
-        drift = default_drift(exp.model, exp.t, exp.y0, times)
-    else:
-        drift = float(exp.a_policy)
-    order = min(exp.max_order, 200 // (m + 1))
+    order = min(exp.max_order, max_order(exp.model) // (m + 1))
     basis = GhpBasis(drift=drift, scale=scale, order=order)
     request = PriceRequest(
         strike=strike, rate=exp.rate, t=exp.t, times=times,
         basis=basis, model=exp.model, y_t=exp.y0,
     )
     if m == 0:
-        report = european_price(request)
+        report = european_price(request, engine=engine)
     else:
         report = asian_price(request, engine=engine)
-    law = _benchmark_law(exp.model, exp.t, exp.y0, times)
     exact = gaussian_call(law, strike) if law is not None else None
     estimate = None
     if exp.mc is not None:
@@ -301,6 +286,11 @@ def run_pricing(exp: PricingExperiment, out_dir: str) -> tuple[str, str]:
     cells = []
     for m in exp.m_values:
         times = _uniform_times(exp.t, exp.maturity, m)
+        if exp.a_policy == "mean":
+            drift = default_drift(exp.model, exp.t, exp.y0, times)
+        else:
+            drift = float(exp.a_policy)
+        law = _benchmark_law(exp.model, exp.t, exp.y0, times)
         if exp.scales is not None:
             bs = exp.scales
         else:
@@ -308,19 +298,10 @@ def run_pricing(exp: PricingExperiment, out_dir: str) -> tuple[str, str]:
             bs = tuple(r * floor for r in exp.scale_ratios)
         for strike in exp.strikes:
             for b in bs:
-                cells.append((times, m, strike, b))
-    workers = _thread_count()
-    if workers == 1:
-        results = [
-            _run_pricing_cell(exp, engine, *cell, idx) for idx, cell in enumerate(cells)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_pricing_cell, exp, engine, *cell, idx)
-                for idx, cell in enumerate(cells)
-            ]
-            results = [f.result() for f in futures]
+                cells.append((times, m, drift, law, strike, b))
+    results = [
+        _run_pricing_cell(exp, engine, *cell, idx) for idx, cell in enumerate(cells)
+    ]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, exp.output)
     with open(csv_path, "w", newline="") as fh:
@@ -519,7 +500,7 @@ def cmd_price(args) -> int:
     scale = _parse_scale(args.b, floor)
 
     m = len(times) - 1
-    order_cap = 200 // (m + 1)
+    order_cap = max_order(model) // (m + 1)
 
     def price_at(order: int):
         basis = GhpBasis(drift=drift, scale=scale, order=order)
@@ -528,17 +509,25 @@ def cmd_price(args) -> int:
             basis=basis, model=model, y_t=args.y0,
         )
         if m == 0:
-            return request, european_price(request)
+            return request, european_price(request, engine=engine)
         return request, asian_price(request, engine=engine)
 
     if args.auto_n:
         order = min(20, order_cap)
-        while True:
-            request, report = price_at(order)
-            decision = stopping_criterion(report, args.threshold)
-            if decision.converged or order >= min(args.max_order, order_cap):
+        request, report = price_at(order)
+        decision = stopping_criterion(report, args.threshold)
+        while not decision.converged and order < min(args.max_order, order_cap):
+            grown = min(order + 20, args.max_order, order_cap)
+            try:
+                request, report = price_at(grown)
+            except NumericalError as exc:
+                # a jump model's moments can exceed double range below its
+                # order limit: keep the last order that priced
+                print(f"auto-N: order capped at {order}; order {grown} failed: {exc}",
+                      file=sys.stderr)
                 break
-            order = min(order + 20, args.max_order, order_cap)
+            order = grown
+            decision = stopping_criterion(report, args.threshold)
     else:
         request, report = price_at(min(args.order, order_cap))
         decision = stopping_criterion(report, args.threshold)

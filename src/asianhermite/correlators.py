@@ -11,7 +11,6 @@ second route for validation.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -100,12 +99,16 @@ def _monomials_derivative(y: float, order: int) -> np.ndarray:
 
 
 class CorrelatorEngine:
-    """Correlator evaluator with shared propagator and query caches.
+    """Correlator evaluator with shared propagator and moment caches.
 
     Propagator exponentials are cached per (order, time step), which is the
-    dominant saving on the uniform sampling grids of a pricing run.  Query
-    results are memoized so a pricing sweep over strikes reuses them.  The
-    caches allow concurrent readers; insertion is serialized by a lock.
+    dominant saving on the uniform sampling grids of a pricing run.
+    ``moments`` holds the moment vectors the pricing layer builds from
+    correlators; they depend on neither strike nor basis, so a sweep over
+    strikes and scales computes them once.  Keys are ``(t, y_t, times)``
+    for the moments of the average, extended in place to higher orders,
+    and ``(t, y_t, times, order)`` for single-time moment vectors, whose
+    exponential depends on the order.  The engine is not thread-safe.
     """
 
     def __init__(self, model: ModelSpec, size_cap: int = DEFAULT_SIZE_CAP):
@@ -114,15 +117,12 @@ class CorrelatorEngine:
         self._propagators: dict[tuple[int, float], np.ndarray] = {}
         self._generators: dict[int, np.ndarray] = {}
         self._factors: dict[tuple[int, int], CompressedPropagator] = {}
-        self._values: dict[tuple, float] = {}
-        self._lock = threading.Lock()
+        self.moments: dict[tuple, np.ndarray] = {}
 
     def _generator(self, order: int) -> np.ndarray:
         g = self._generators.get(order)
         if g is None:
-            g = generator_matrix(self.model, order).matrix
-            with self._lock:
-                self._generators.setdefault(order, g)
+            g = self._generators[order] = generator_matrix(self.model, order).matrix
         return g
 
     def _propagator(self, order: int, dt: float) -> np.ndarray:
@@ -131,8 +131,7 @@ class CorrelatorEngine:
         if p is None:
             p = matrix_exponential(self._generator(order) * dt)
             p.setflags(write=False)
-            with self._lock:
-                self._propagators.setdefault(key, p)
+            self._propagators[key] = p
         return p
 
     def compressed_propagator(self, n: int, rank: int) -> CompressedPropagator:
@@ -143,9 +142,7 @@ class CorrelatorEngine:
             order = n * (rank + 1)
             base = GeneratorMatrix(n=order, matrix=self._generator(order))
             sel = mth_selectors(n, rank, self.size_cap) if rank >= 1 else None
-            f = CompressedPropagator(rank=rank, base=base, selectors=sel)
-            with self._lock:
-                self._factors.setdefault(key, f)
+            f = self._factors[key] = CompressedPropagator(rank=rank, base=base, selectors=sel)
         return f
 
     def _initial_vector(self, n: int, m: int, y: float, derivative: bool) -> np.ndarray:
@@ -208,14 +205,7 @@ class CorrelatorEngine:
 
     def correlator(self, query: CorrelatorQuery) -> float:
         """Conditional expectation of the product of powers at the query times."""
-        key = (query.t, query.y_t, query.times, query.powers)
-        hit = self._values.get(key)
-        if hit is not None:
-            return hit
-        value = self._chain(query)
-        with self._lock:
-            self._values.setdefault(key, value)
-        return value
+        return self._chain(query)
 
     def derivative_state(self, query: CorrelatorQuery) -> float:
         """Partial derivative of the correlator with respect to ``y_t``.

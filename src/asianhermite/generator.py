@@ -15,10 +15,10 @@ from math import comb
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import quad
 from scipy.special import kve
 
-# Binomial-times-jump-moment products overflow doubles past this order.
+# Largest generator order of any model; jump models whose binomial-weighted
+# moments overflow earlier have a lower limit, see ``max_order``.
 MAX_GENERATOR_ORDER = 200
 
 
@@ -70,14 +70,18 @@ class LevyMoments:
     c: np.ndarray = field(repr=False)
 
 
-def _nig_cumulants(params: NigParams, n_max: int) -> np.ndarray:
-    """Cumulants of order 2..n_max of the NIG law (equal to the Levy moments).
+def _nig_cumulants(params: NigParams) -> np.ndarray:
+    """Cumulants of order 2.. of the NIG law (equal to the Levy moments).
 
     Taylor coefficients ``r_k`` of ``sqrt(alpha^2 - (beta + u)^2)`` at zero
     satisfy a quadratic convolution identity solved recursively; the m-th
     cumulant is then ``-delta * m! * r_m``.  The recursion is exact up to
-    rounding, with the only square root in the leading coefficient.
+    rounding, with the only square root in the leading coefficient.  Each
+    order depends on the lower ones only, so the table runs up to
+    ``MAX_GENERATOR_ORDER`` and stops before the first order that overflows
+    double precision.
     """
+    n_max = MAX_GENERATOR_ORDER
     r = np.zeros(n_max + 1)
     r[0] = params.gamma
     for k in range(1, n_max + 1):
@@ -97,11 +101,10 @@ def _nig_cumulants(params: NigParams, n_max: int) -> np.ndarray:
             # m! is no longer representable; assemble the product in logs
             log_mag = math.lgamma(m + 1) + math.log(abs(r[m])) + math.log(params.delta)
             if log_mag >= math.log(np.finfo(float).max):
-                raise NumericalError(f"jump moment m={m} overflows double precision")
+                return c[:m]
             c[m] = -math.copysign(math.exp(log_mag), r[m])
-    if not np.all(np.isfinite(c)):
-        bad = int(np.flatnonzero(~np.isfinite(c))[0])
-        raise NumericalError(f"jump moment m={bad} overflows double precision")
+        if not math.isfinite(c[m]):
+            return c[:m]
     return c
 
 
@@ -112,53 +115,87 @@ def _nig_levy_density(params: NigParams, z: float) -> float:
     return d * a / math.pi * math.exp(b * z - a * abs(z)) * kve(1, a * abs(z)) / abs(z)
 
 
+def _density_integral(f) -> float:
+    # deferred: scipy.integrate is only needed when moments are validated
+    from scipy.integrate import quad
+
+    pos, _ = quad(f, 0.0, np.inf, limit=200)
+    neg, _ = quad(f, -np.inf, 0.0, limit=200)
+    return pos + neg
+
+
 def levy_moment_quadrature(params: NigParams, m: int) -> float:
     """Adaptive quadrature of ``z^m`` against the NIG Levy density (m >= 2)."""
     if m < 2:
         raise ValueError("Levy moments are defined for m >= 2 only")
-    f = lambda z: z**m * _nig_levy_density(params, z)
-    pos, _ = quad(f, 0.0, np.inf, limit=200)
-    neg, _ = quad(f, -np.inf, 0.0, limit=200)
-    return pos + neg
+    return _density_integral(lambda z: z**m * _nig_levy_density(params, z))
 
 
 def _levy_abs_moment_quadrature(params: NigParams, m: int) -> float:
-    f = lambda z: abs(z) ** m * _nig_levy_density(params, z)
-    pos, _ = quad(f, 0.0, np.inf, limit=200)
-    neg, _ = quad(f, -np.inf, 0.0, limit=200)
-    return pos + neg
+    return _density_integral(lambda z: abs(z) ** m * _nig_levy_density(params, z))
 
 
 @lru_cache(maxsize=None)
-def _levy_moments_cached(params: NigParams, n_max: int, validate: bool) -> LevyMoments:
-    c = _nig_cumulants(params, n_max)
-    if validate:
-        # guard against derivation slips in the recursion; the absolute
-        # moment sets the scale so symmetric (exact-zero) moments check too
-        for m in range(2, min(n_max, 6) + 1):
-            q = levy_moment_quadrature(params, m)
-            scale = max(abs(c[m]), abs(q), _levy_abs_moment_quadrature(params, m))
-            if abs(c[m] - q) > 1e-6 * scale:
-                raise NumericalError(
-                    f"jump moment m={m}: cumulant value {c[m]} disagrees with "
-                    f"quadrature {q}"
-                )
+def _levy_table(params: NigParams) -> np.ndarray:
+    c = _nig_cumulants(params)
     c.setflags(write=False)
-    return LevyMoments(params=params, c=c)
+    return c
+
+
+@lru_cache(maxsize=None)
+def _validate_levy_table(params: NigParams) -> None:
+    # guard against derivation slips in the recursion; the absolute moment
+    # sets the scale so symmetric (exact-zero) moments check too
+    c = _levy_table(params)
+    for m in range(2, min(c.size - 1, 6) + 1):
+        q = levy_moment_quadrature(params, m)
+        scale = max(abs(c[m]), abs(q), _levy_abs_moment_quadrature(params, m))
+        if abs(c[m] - q) > 1e-6 * scale:
+            raise NumericalError(
+                f"jump moment m={m}: cumulant value {c[m]} disagrees with "
+                f"quadrature {q}"
+            )
+
+
+@lru_cache(maxsize=None)
+def max_order(spec: ModelSpec) -> int:
+    """Highest generator order whose matrix is finite in double precision.
+
+    ``MAX_GENERATOR_ORDER`` for Gaussian models.  For jump models the
+    factorially growing jump moments set a lower limit: the last order at
+    which every binomial-weighted moment ``C(k, j) c_j`` of the generator
+    is finite, which can lie below the last finite ``c_j``.  The matrix
+    exponential can still overflow below it, for long enough horizons.
+    """
+    if spec.jumps is None:
+        return MAX_GENERATOR_ORDER
+    c = _levy_table(spec.jumps).tolist()
+    for k in range(2, len(c)):
+        if not all(math.isfinite(comb(k, j) * c[j]) for j in range(2, k + 1)):
+            return k - 1
+    return len(c) - 1
 
 
 def levy_moments(params: NigParams, n_max: int, validate: bool = True) -> LevyMoments:
     """Jump-measure moments up to ``n_max`` from the NIG cumulants.
 
-    With ``validate`` (the default) the low orders are cross-checked against
-    adaptive quadrature of the Levy density at construction; results are
-    cached per parameter set.
+    The cumulant table is computed once per parameter set and sliced.  With
+    ``validate`` (the default) its low orders are cross-checked against
+    adaptive quadrature of the Levy density, also once per parameter set.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if n_max > MAX_GENERATOR_ORDER:
         raise ValueError(f"n_max {n_max} exceeds the limit {MAX_GENERATOR_ORDER}")
-    return _levy_moments_cached(params, n_max, validate)
+    c = _levy_table(params)
+    if n_max >= c.size:
+        raise NumericalError(
+            f"jump moment m={c.size} overflows double precision; these "
+            f"parameters have finite moments up to order {c.size - 1} only"
+        )
+    if validate:
+        _validate_levy_table(params)
+    return LevyMoments(params=params, c=c[: n_max + 1])
 
 
 @dataclass(frozen=True)
@@ -178,8 +215,9 @@ def generator_matrix(spec: ModelSpec, n: int) -> GeneratorMatrix:
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    if n > MAX_GENERATOR_ORDER:
-        raise ValueError(f"order {n} exceeds the limit {MAX_GENERATOR_ORDER}")
+    limit = max_order(spec)
+    if n > limit:
+        raise ValueError(f"order {n} exceeds the limit {limit} of this model")
     g = np.zeros((n + 1, n + 1))
     c = None
     if spec.jumps is not None and n >= 2:

@@ -196,32 +196,26 @@ def stopping_criterion(report: PriceReport, threshold: float = STOPPING_THRESHOL
     return StoppingDecision(n_max, False, False)
 
 
-def _recentered_expectations(moments: np.ndarray, drift: float, scale: float, extended: bool) -> np.ndarray:
+def _recentered_expectations(moments: np.ndarray, drift: float, scale: float) -> np.ndarray:
     """``E[((X - a)/b)^k]`` for every k from the raw moments, by binomial recentering."""
     n = moments.size - 1
     out = np.empty(n + 1)
     for k in range(n + 1):
         terms = [comb(k, i) * (-drift) ** (k - i) * moments[i] for i in range(k + 1)]
-        out[k] = (fsum(terms) if extended else sum(terms)) / scale**k
+        out[k] = sum(terms) / scale**k
     return out
 
 
-def _series_partial_sums(moments: np.ndarray, basis: GhpBasis, strike: float, extended: bool) -> np.ndarray:
+def _series_partial_sums(moments: np.ndarray, basis: GhpBasis, strike: float) -> np.ndarray:
     """Partial sums of the payoff series from the moments of the underlying value.
 
     Row ``n`` of the change-of-basis matrix turns the recentered moments into
     the expected n-th polynomial, so the price increments are coefficient
     times expectation, accumulated in order.
     """
-    centered = _recentered_expectations(moments, basis.drift, basis.scale, extended)
-    rows = change_of_basis(basis.order).matrix
-    beta = payoff_coefficients(strike, basis).beta
-    if extended:
-        expect = np.array([fsum(rows[n, : n + 1] * centered[: n + 1]) for n in range(basis.order + 1)])
-        increments = beta * expect
-        return np.array([fsum(increments[: n + 1]) for n in range(basis.order + 1)])
-    expect = rows @ centered
-    return np.cumsum(beta * expect)
+    centered = _recentered_expectations(moments, basis.drift, basis.scale)
+    expect = change_of_basis(basis.order).matrix @ centered
+    return np.cumsum(payoff_coefficients(strike, basis).beta * expect)
 
 
 def _build_report(partial: np.ndarray) -> PriceReport:
@@ -233,42 +227,56 @@ def _build_report(partial: np.ndarray) -> PriceReport:
     return PriceReport(price_by_N=partial, gamma_tilde=gt, chosen_N=decision.n, converged=decision.converged)
 
 
-def european_price(request: PriceRequest, extended: bool = False) -> PriceReport:
+def _engine_for(request: PriceRequest, engine: CorrelatorEngine | None) -> CorrelatorEngine:
+    if engine is None:
+        return CorrelatorEngine(request.model)
+    if engine.model != request.model:
+        raise ValueError("engine was built for a different model")
+    return engine
+
+
+def european_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -> PriceReport:
     """Price of a call on the single-time value via the moment formula.
 
     Computes all conditional moments up to the basis order with one matrix
     exponential, recenters them onto the basis, and accumulates discounted
-    partial sums for every truncation.
+    partial sums for every truncation.  Passing a shared engine reuses the
+    moment vector across strikes and scales, which do not enter it.
     """
     if request.m != 0:
         raise ValueError("european pricing takes exactly one sampling time")
-    moments = moment_vector(
-        request.model, request.basis.order, request.t, request.maturity, request.y_t
-    )
-    partial = request.discount * _series_partial_sums(
-        moments, request.basis, request.strike, extended
-    )
+    order = request.basis.order
+    key = (request.t, request.y_t, request.times, order)
+    moments = None
+    if engine is not None:
+        moments = _engine_for(request, engine).moments.get(key)
+    if moments is None:
+        moments = moment_vector(request.model, order, request.t, request.maturity, request.y_t)
+        if engine is not None:
+            moments.setflags(write=False)
+            engine.moments[key] = moments
+    partial = request.discount * _series_partial_sums(moments, request.basis, request.strike)
     return _build_report(partial)
 
 
-def _average_moments(
+def _expanded_moments(
     request: PriceRequest,
     engine: CorrelatorEngine,
-    order: int,
+    orders: range,
     mode: str = "value",
     time_index: int = 0,
-    extended: bool = False,
 ) -> np.ndarray:
-    """Moments of the discrete average (or their parameter derivatives).
+    """Moments of the discrete average (or their parameter derivatives) at ``orders``.
 
     ``E[X^i]`` expands over multi-indices ``|k| = i`` with multinomial
     weights; each term is a correlator of the underlying at the sampling
     times.  ``mode`` selects the plain value, the derivative in the initial
-    state, or the derivative in one sampling time.
+    state, or the derivative in one sampling time.  Each order is summed on
+    its own, so the result for ``i`` does not depend on the other orders.
     """
     m = request.m
-    out = np.empty(order + 1)
-    for i in range(order + 1):
+    out = np.empty(len(orders))
+    for slot, i in enumerate(orders):
         contributions = []
         for term in multinomial_expand(i, m):
             query = CorrelatorQuery(
@@ -281,29 +289,39 @@ def _average_moments(
             else:
                 val = engine.derivative_time(query, time_index)
             contributions.append(term.coeff * val)
-        total = fsum(contributions) if extended else sum(contributions)
-        out[i] = total / float(m + 1) ** i
+        out[slot] = sum(contributions) / float(m + 1) ** i
     return out
 
 
-def asian_price(
-    request: PriceRequest, engine: CorrelatorEngine | None = None, extended: bool = False
-) -> PriceReport:
+def _average_moments(request: PriceRequest, engine: CorrelatorEngine, order: int) -> np.ndarray:
+    """``E[X^i]`` of the discrete average for ``i = 0..order``, from the engine's cache.
+
+    A cached vector that is too short is extended by the missing orders
+    only; since each order is summed on its own, the result is the same
+    as computing every order afresh.
+    """
+    key = (request.t, request.y_t, request.times)
+    cached = engine.moments.get(key)
+    have = 0 if cached is None else cached.size
+    if have <= order:
+        extra = _expanded_moments(request, engine, range(have, order + 1))
+        cached = extra if cached is None else np.concatenate([cached, extra])
+        cached.setflags(write=False)
+        engine.moments[key] = cached
+    return cached[: order + 1]
+
+
+def asian_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -> PriceReport:
     """Price of a discretely sampled arithmetic Asian call via correlators.
 
     The moments of the average come from the multinomial expansion over
     correlators; from there the assembly is identical to the European case.
-    Passing a shared engine reuses correlators across strikes, which do not
-    enter them.
+    Passing a shared engine reuses the moments across strikes and scales,
+    which do not enter them.
     """
-    if engine is None:
-        engine = CorrelatorEngine(request.model)
-    elif engine.model != request.model:
-        raise ValueError("engine was built for a different model")
-    moments = _average_moments(request, engine, request.basis.order, extended=extended)
-    partial = request.discount * _series_partial_sums(
-        moments, request.basis, request.strike, extended
-    )
+    engine = _engine_for(request, engine)
+    moments = _average_moments(request, engine, request.basis.order)
+    partial = request.discount * _series_partial_sums(moments, request.basis, request.strike)
     return _build_report(partial)
 
 
@@ -315,10 +333,9 @@ def delta(request: PriceRequest, engine: CorrelatorEngine | None = None) -> floa
     policy that pegs ``a`` to the forward mean is resolved before, not
     inside, the differentiation.
     """
-    if engine is None:
-        engine = CorrelatorEngine(request.model)
-    d_moments = _average_moments(request, engine, request.basis.order, mode="state")
-    partial = _series_partial_sums(d_moments, request.basis, request.strike, extended=False)
+    engine = _engine_for(request, engine)
+    d_moments = _expanded_moments(request, engine, range(request.basis.order + 1), mode="state")
+    partial = _series_partial_sums(d_moments, request.basis, request.strike)
     return request.discount * float(partial[-1])
 
 
@@ -331,10 +348,11 @@ def theta(request: PriceRequest, j: int, engine: CorrelatorEngine | None = None)
     """
     if not 0 <= j <= request.m:
         raise ValueError(f"time index {j} out of range for m={request.m}")
-    if engine is None:
-        engine = CorrelatorEngine(request.model)
-    d_moments = _average_moments(request, engine, request.basis.order, mode="time", time_index=j)
-    partial = _series_partial_sums(d_moments, request.basis, request.strike, extended=False)
+    engine = _engine_for(request, engine)
+    d_moments = _expanded_moments(
+        request, engine, range(request.basis.order + 1), mode="time", time_index=j
+    )
+    partial = _series_partial_sums(d_moments, request.basis, request.strike)
     out = request.discount * float(partial[-1])
     if j == request.m and request.rate != 0.0:
         value = asian_price(request, engine=engine).price_at_order

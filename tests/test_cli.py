@@ -57,6 +57,21 @@ class TestPriceCommand:
         assert code == 0
         assert "converged=True" in out
 
+    def test_auto_order_capped_for_jump_model(self, capsys):
+        # the fig8 jump moments leave double range: the order grows no
+        # further than the model's limit, and an order whose exponential
+        # overflows below it ends the growth at the last order that priced
+        code = main([
+            "price", "--model", "jd", "--nig", "1", "0", "0", "0.05",
+            "--b0", "-0.02", "--b1", "0.01", "--sigma0", "0.49", "--y0", "2",
+            "--maturity", "2", "--m", "0", "--strike", "2", "--auto-n",
+            "--max-order", "200",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "auto-N: order capped at 160; order 172 failed" in captured.err
+        assert "order=160" in captured.out
+
     def test_greeks_flag(self, capsys):
         code = main([
             "price", "--model", "ou", "--b0", "-0.02", "--b1", "0.01",
@@ -242,23 +257,3 @@ class TestPresets:
         rows = read_rows(tmp_path / "fig3.csv")
         assert len(rows) == 4 * 5 * 13
         assert all(r["experiment"] == "fig3" for r in rows)
-
-
-class TestThreadPool:
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        cfg = tiny_config(tmp_path)
-        main(["run", str(cfg), "--out", str(tmp_path / "serial")])
-        monkeypatch.setenv("ASIANHERMITE_THREADS", "4")
-        main(["run", str(cfg), "--out", str(tmp_path / "parallel")])
-        a = read_rows(tmp_path / "serial" / "tiny.csv")
-        b = read_rows(tmp_path / "parallel" / "tiny.csv")
-        for ra, rb in zip(a, b):
-            ra.pop("wall_ms")
-            rb.pop("wall_ms")
-            assert ra == rb
-
-    def test_invalid_thread_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ASIANHERMITE_THREADS", "zero")
-        cfg = tiny_config(tmp_path)
-        code = main(["run", str(cfg), "--out", str(tmp_path)])
-        assert code == 2

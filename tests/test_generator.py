@@ -1,19 +1,25 @@
 import math
+import os
+import subprocess
+import sys
 from math import comb
 
 import numpy as np
 import pytest
 
+import asianhermite
 from asianhermite import (
     ModelSpec,
     NigParams,
+    NumericalError,
     generator_matrix,
     levy_moments,
     matrix_exponential,
+    max_order,
     moment,
     moment_vector,
 )
-from asianhermite.generator import levy_moment_quadrature
+from asianhermite.generator import MAX_GENERATOR_ORDER, levy_moment_quadrature
 
 NIG_REF = NigParams(alpha=1.0, beta=0.0, mu=0.0, delta=0.05)
 
@@ -130,6 +136,70 @@ class TestLevyMoments:
         steep = NigParams(alpha=30.0, beta=0.0, mu=0.0, delta=0.05)
         c = levy_moments(steep, 200, validate=False).c
         assert np.all(np.isfinite(c))
+
+
+class TestOrderLimit:
+    def test_fig8_model_limits(self):
+        # the cumulants of alpha = 1, delta = 0.05 are finite up to order
+        # 173; C(173, 172) c_172 already overflows, so the generator stops
+        # one order earlier
+        assert levy_moments(NIG_REF, 173, validate=False).c.size == 174
+        with pytest.raises(NumericalError, match="up to order 173"):
+            levy_moments(NIG_REF, 174, validate=False)
+        spec = ModelSpec(-0.02, 0.01, 0.49, NIG_REF)
+        assert max_order(spec) == 172
+        assert np.all(np.isfinite(generator_matrix(spec, 172).matrix))
+        with pytest.raises(ValueError, match="limit 172"):
+            generator_matrix(spec, 173)
+
+    def test_gaussian_limit(self, ou_model):
+        assert max_order(ou_model) == MAX_GENERATOR_ORDER
+
+    def test_table_is_sliced_not_recomputed(self):
+        params = NigParams(alpha=1.7, beta=0.2, mu=0.0, delta=0.11)
+        short, long = levy_moments(params, 10).c, levy_moments(params, 60).c
+        assert np.array_equal(short, long[:11])
+        assert not long.flags.writeable
+
+    def test_quadrature_check_once_per_parameter_set(self, monkeypatch):
+        from asianhermite import generator
+
+        calls = []
+        original = generator.levy_moment_quadrature
+
+        def counting(params, m):
+            calls.append(m)
+            return original(params, m)
+
+        monkeypatch.setattr(generator, "levy_moment_quadrature", counting)
+        params = NigParams(alpha=1.3, beta=-0.1, mu=0.0, delta=0.07)
+        spec = ModelSpec(0.0, 0.0, 0.5, params)
+        for n in (4, 12, 30):
+            generator_matrix(spec, n)
+        assert calls == [2, 3, 4, 5, 6]
+
+    def test_import_defers_quadrature(self):
+        # scipy.integrate is loaded only when a jump model is validated
+        script = (
+            "import sys\n"
+            "import asianhermite as ah\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "ah.generator_matrix(ah.ModelSpec(0.0, 0.0, 1.0), 40)\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "from asianhermite import generator\n"
+            "calls = []\n"
+            "original = generator.levy_moment_quadrature\n"
+            "generator.levy_moment_quadrature = lambda p, m: calls.append(m) or original(p, m)\n"
+            "nig = ah.NigParams(1.0, 0.0, 0.0, 0.05)\n"
+            "ah.generator_matrix(ah.ModelSpec(0.0, 0.0, 0.49, nig), 8)\n"
+            "assert 'scipy.integrate' in sys.modules\n"
+            "assert calls == [2, 3, 4, 5, 6], calls\n"
+        )
+        src = os.path.dirname(os.path.dirname(asianhermite.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestGeneratorMatrix:

@@ -158,29 +158,71 @@ class TestAsianPrice:
         )
         assert report.price_by_N[-1] == pytest.approx(0.5, abs=5e-3)
 
-    def test_engine_shared_across_strikes(self, ou_model):
+    def test_engine_shared_across_strikes(self, ou_model, monkeypatch):
+        chains = []
+        original = CorrelatorEngine._chain
+
+        def counting(self, *args, **kwargs):
+            chains.append(args[0].powers)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CorrelatorEngine, "_chain", counting)
         engine = CorrelatorEngine(ou_model)
         times = (1.0, 2.0)
         basis = GhpBasis(drift=2.0, scale=1.6, order=10)
         p1 = asian_price(
             PriceRequest(1.0, 0.0, 0.0, times, basis, ou_model, 2.0), engine=engine
         )
-        cached = len(engine._values)
+        assert chains
+        chains.clear()
+        # neither the strike nor the scale enters the moments of the average
+        wider = GhpBasis(drift=2.0, scale=2.4, order=10)
         p2 = asian_price(
-            PriceRequest(3.0, 0.0, 0.0, times, basis, ou_model, 2.0), engine=engine
+            PriceRequest(3.0, 0.0, 0.0, times, wider, ou_model, 2.0), engine=engine
         )
-        assert len(engine._values) == cached  # strike does not enter correlators
+        assert chains == []
         assert p1.price_by_N[-1] != p2.price_by_N[-1]
 
-    def test_extended_accumulation_close_to_plain(self, ou_model):
-        times = (1.0, 2.0)
-        basis = GhpBasis(drift=2.0, scale=1.6, order=14)
-        req = PriceRequest(2.0, 0.0, 0.0, times, basis, ou_model, 2.0)
-        plain = asian_price(req)
-        extended = asian_price(req, extended=True)
-        np.testing.assert_allclose(
-            extended.price_by_N, plain.price_by_N, rtol=1e-12
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", ["ou", "jd"])
+    def test_extended_moments_equal_direct(self, kind, m, ou_model, jd_model):
+        # each moment of the average is summed on its own, so extending a
+        # cached vector reproduces a single pass bit for bit
+        from asianhermite.pricing import _average_moments
+
+        model = ou_model if kind == "ou" else jd_model
+        times = tuple(2.0 * (j + 1) / (m + 1) for j in range(m + 1))
+        basis = GhpBasis(drift=2.0, scale=1.6, order=20)
+        req = PriceRequest(2.0, 0.0, 0.0, times, basis, model, 2.0)
+        grown = CorrelatorEngine(model)
+        short = _average_moments(req, grown, 10)
+        extended = _average_moments(req, grown, 20)
+        direct = _average_moments(req, CorrelatorEngine(model), 20)
+        assert np.array_equal(extended, direct)
+        assert np.array_equal(short, direct[:11])
+        assert np.array_equal(
+            asian_price(req, engine=grown).price_by_N, asian_price(req).price_by_N
         )
+
+    def test_european_moments_cached_per_order(self, ou_model, monkeypatch):
+        from asianhermite import pricing
+
+        calls = []
+        original = pricing.moment_vector
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(pricing, "moment_vector", counting)
+        engine = CorrelatorEngine(ou_model)
+        for strike, scale, order in ((1.0, 1.6, 10), (3.0, 2.4, 10), (2.0, 1.6, 12)):
+            req = PriceRequest(strike, 0.0, 0.0, (2.0,),
+                               GhpBasis(drift=2.0, scale=scale, order=order), ou_model, 2.0)
+            shared = european_price(req, engine=engine)
+            assert np.array_equal(shared.price_by_N, european_price(req).price_by_N)
+        # one exponential per order for the shared engine, one per fresh call
+        assert calls == [10, 10, 10, 12, 12]
 
 
 class TestStoppingCriterion:
