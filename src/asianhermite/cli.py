@@ -229,19 +229,36 @@ def _benchmark_law(model: ModelSpec, t: float, y0: float, times) -> GaussianLaw 
     return ou_asian_law(model, t, y0, times)
 
 
-def _run_pricing_cell(exp: PricingExperiment, engine, times, m, drift, law, strike, scale,
-                      cell_idx):
+def _capped_order(model: ModelSpec, m: int, requested: int, prefix: str = "") -> int:
+    """``requested``, lowered to ``max_order(model) // (m + 1)`` with a line on stderr."""
+    limit = max_order(model)
+    cap = limit // (m + 1)
+    if requested <= cap:
+        return requested
+    print(f"{prefix}order capped at {cap}; order {requested} exceeds "
+          f"max_order(model) // (m + 1) = {limit} // {m + 1}", file=sys.stderr)
+    return cap
+
+
+def _price_report(request: PriceRequest, engine):
+    """European or Asian report by the number of sampling times; failures name the order."""
+    try:
+        if request.m == 0:
+            return european_price(request, engine=engine)
+        return asian_price(request, engine=engine)
+    except NumericalError as exc:
+        raise NumericalError(f"order {request.basis.order} failed: {exc}") from exc
+
+
+def _run_pricing_cell(exp: PricingExperiment, engine, times, m, order, drift, law, strike,
+                      scale, cell_idx):
     started = time.perf_counter()
-    order = min(exp.max_order, max_order(exp.model) // (m + 1))
     basis = GhpBasis(drift=drift, scale=scale, order=order)
     request = PriceRequest(
         strike=strike, rate=exp.rate, t=exp.t, times=times,
         basis=basis, model=exp.model, y_t=exp.y0,
     )
-    if m == 0:
-        report = european_price(request, engine=engine)
-    else:
-        report = asian_price(request, engine=engine)
+    report = _price_report(request, engine)
     exact = gaussian_call(law, strike) if law is not None else None
     estimate = None
     if exp.mc is not None:
@@ -286,6 +303,7 @@ def run_pricing(exp: PricingExperiment, out_dir: str) -> tuple[str, str]:
     cells = []
     for m in exp.m_values:
         times = _uniform_times(exp.t, exp.maturity, m)
+        order = _capped_order(exp.model, m, exp.max_order, f"m={m}: ")
         if exp.a_policy == "mean":
             drift = default_drift(exp.model, exp.t, exp.y0, times)
         else:
@@ -298,7 +316,7 @@ def run_pricing(exp: PricingExperiment, out_dir: str) -> tuple[str, str]:
             bs = tuple(r * floor for r in exp.scale_ratios)
         for strike in exp.strikes:
             for b in bs:
-                cells.append((times, m, drift, law, strike, b))
+                cells.append((times, m, order, drift, law, strike, b))
     results = [
         _run_pricing_cell(exp, engine, *cell, idx) for idx, cell in enumerate(cells)
     ]
@@ -508,28 +526,27 @@ def cmd_price(args) -> int:
             strike=args.strike, rate=args.rate, t=args.t, times=times,
             basis=basis, model=model, y_t=args.y0,
         )
-        if m == 0:
-            return request, european_price(request, engine=engine)
-        return request, asian_price(request, engine=engine)
+        return request, _price_report(request, engine)
 
     if args.auto_n:
         order = min(20, order_cap)
         request, report = price_at(order)
         decision = stopping_criterion(report, args.threshold)
         while not decision.converged and order < min(args.max_order, order_cap):
-            grown = min(order + 20, args.max_order, order_cap)
+            grown = min(order + 20, args.max_order)
+            if grown > order_cap:
+                grown = _capped_order(model, m, args.max_order, "auto-N: ")
             try:
                 request, report = price_at(grown)
             except NumericalError as exc:
                 # a jump model's moments can exceed double range below its
                 # order limit: keep the last order that priced
-                print(f"auto-N: order capped at {order}; order {grown} failed: {exc}",
-                      file=sys.stderr)
+                print(f"auto-N: order capped at {order}; {exc}", file=sys.stderr)
                 break
             order = grown
             decision = stopping_criterion(report, args.threshold)
     else:
-        request, report = price_at(min(args.order, order_cap))
+        request, report = price_at(_capped_order(model, m, args.order))
         decision = stopping_criterion(report, args.threshold)
 
     print(f"model: {_model_label(model)}  times: {', '.join(repr(s) for s in times)}")

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Hard ceiling on the length of any expanded Kronecker vector.  Exceeding it
 # is an error rather than a slow computation: expanded vectors of this size
@@ -77,6 +80,9 @@ def _duplicating_index(n: int, m: int) -> np.ndarray:
 
 
 def _selector_matrix(idx: np.ndarray, cols: int) -> sp.csr_matrix:
+    # deferred: only the dense inspection properties need scipy.sparse
+    import scipy.sparse as sp
+
     rows = idx.size
     return sp.csr_matrix(
         (np.ones(rows), (np.arange(rows), idx)), shape=(rows, cols)

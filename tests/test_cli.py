@@ -71,6 +71,27 @@ class TestPriceCommand:
         assert code == 0
         assert "auto-N: order capped at 160; order 172 failed" in captured.err
         assert "order=160" in captured.out
+        assert captured.err.count("order 200 exceeds max_order(model) // (m + 1) = 172 // 1") == 1
+
+    def test_order_cap_reported_and_failure_named(self, capsys):
+        code = main([
+            "price", "--model", "jd", "--nig", "1", "0", "0", "0.05",
+            "--b0", "-0.02", "--b1", "0.01", "--sigma0", "0.49", "--y0", "2",
+            "--maturity", "2", "--m", "0", "--strike", "2", "--order", "200",
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "order capped at 172; order 200 exceeds max_order(model) // (m + 1) = 172 // 1" in err
+        assert "numerical failure: order 172 failed: matrix exponential overflowed" in err
+
+    def test_order_within_cap_is_silent(self, capsys):
+        code = main([
+            "price", "--model", "jd", "--nig", "1", "0", "0", "0.05",
+            "--b0", "-0.02", "--b1", "0.01", "--sigma0", "0.49", "--y0", "2",
+            "--maturity", "2", "--m", "0", "--strike", "2", "--order", "20",
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_greeks_flag(self, capsys):
         code = main([
@@ -180,6 +201,21 @@ class TestRunCommand:
         rows = read_rows(tmp_path / "tiny.csv")
         assert all(r["mc_mean"] != "" for r in rows)
         assert all(float(r["mc_lo"]) <= float(r["mc_mean"]) <= float(r["mc_hi"]) for r in rows)
+
+    def test_order_cap_reported_once_per_m(self, tmp_path, capsys):
+        # alpha = 0.01 puts this model's order limit at 89
+        cfg = tiny_config(
+            tmp_path, m_values=[0], strikes=[1.0, 2.0], scales=[1.5, 2.0], max_order=100,
+            model={"kind": "jd", "b0": -0.02, "b1": 0.01, "sigma0": 0.49,
+                   "nig": {"alpha": 0.01, "beta": 0.0, "mu": 0.0, "delta": 0.05}},
+        )
+        code = main(["run", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err.count("order capped") == 1
+        assert "m=0: order capped at 89; order 100 exceeds max_order(model) // (m + 1) = 89 // 1" in err
+        rows = read_rows(tmp_path / "tiny.csv")
+        assert len(rows) == 2 * 2 * 90
 
     def test_validation_error_paths(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

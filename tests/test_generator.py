@@ -179,12 +179,17 @@ class TestOrderLimit:
         assert calls == [2, 3, 4, 5, 6]
 
     def test_import_defers_quadrature(self):
-        # scipy.integrate is loaded only when a jump model is validated
+        # scipy.integrate is loaded only when a jump model is validated, and
+        # scipy.sparse only when a dense selector is inspected
         script = (
             "import sys\n"
             "import asianhermite as ah\n"
             "assert 'scipy.integrate' not in sys.modules\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
             "ah.generator_matrix(ah.ModelSpec(0.0, 0.0, 1.0), 40)\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "e = ah.mth_selectors(2, 1).e_matrix\n"
+            "assert e.shape == (5, 9) and e.nnz == 5\n"
             "assert 'scipy.integrate' not in sys.modules\n"
             "from asianhermite import generator\n"
             "calls = []\n"

@@ -7,6 +7,7 @@ from asianhermite import (
     GhpBasis,
     McConfig,
     ModelSpec,
+    NigParams,
     PriceRequest,
     accuracy_gamma,
     gaussian_call,
@@ -15,6 +16,7 @@ from asianhermite import (
     ou_asian_law,
     simulate_paths,
 )
+from asianhermite import montecarlo
 
 
 class TestConfig:
@@ -81,12 +83,78 @@ class TestSimulatePaths:
         se_var = math.sqrt(2.0 * a.var() ** 2 / (a.size - 1) + 2.0 * b.var() ** 2 / (b.size - 1))
         assert abs(a.var() - b.var()) < 3 * se_var
 
+    @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.05), (2.0, 0.5, 0.1, 0.3)])
+    @pytest.mark.parametrize("diff_sq", [0.49, 0.0])
+    def test_jump_paths_equal_expression_form_step(self, nig, diff_sq):
+        # the in-place Euler step must round exactly like the expression form
+        spec = ModelSpec(-0.02, 0.01, diff_sq, NigParams(*nig))
+        times = (0.7, 2.0)
+        cfg = McConfig(paths=1000, batches=1, seed=21, refine=13)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+        expected = np.empty((cfg.paths, len(times)))
+        y = np.full(cfg.paths, 2.0)
+        for j, (t0, t1) in enumerate(zip((0.0,) + times, times)):
+            y = _expression_form_euler(spec, y, t0, t1, cfg.refine, rng)
+            expected[:, j] = y
+        got = simulate_paths(spec, 0.0, 2.0, times, cfg)
+        assert np.array_equal(got, expected)
+
     def test_exact_scheme_rejected_for_jumps(self, jd_model):
         with pytest.raises(ValueError):
             simulate_paths(jd_model, 0.0, 2.0, (1.0,), McConfig(paths=10, batches=1, scheme="exact-ou"))
 
 
+def _expression_form_euler(spec, y, t0, t1, substeps, rng):
+    """The jump model's Euler step as one expression per term, kept as a reference."""
+    b0, b1, s0 = spec.drift_const, spec.drift_lin, spec.diff_sq
+    jumps = spec.jumps
+    dt = (t1 - t0) / substeps
+    sqrt_dt = math.sqrt(dt)
+    diff = math.sqrt(s0)
+    for _ in range(substeps):
+        y = y + (b0 + b1 * y) * dt
+        if s0 > 0.0:
+            y = y + diff * sqrt_dt * rng.standard_normal(y.shape)
+        gam = jumps.gamma
+        subordinator = rng.wald(jumps.delta * dt / gam, (jumps.delta * dt) ** 2, size=y.shape)
+        incr = (
+            jumps.mu * dt
+            + jumps.beta * subordinator
+            + np.sqrt(subordinator) * rng.standard_normal(y.shape)
+        )
+        y = y + incr - (jumps.mu + jumps.delta * jumps.beta / gam) * dt
+    return y
+
+
+def _serial_mc(spec, req, cfg, scheme):
+    """mc_price's batches run one after another in the calling thread."""
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
+    means = np.empty(cfg.batches)
+    for b in range(cfg.batches):
+        rng = np.random.Generator(np.random.Philox(streams[b]))
+        values = montecarlo._simulate(spec, req.t, req.y_t, req.times, cfg.paths, scheme,
+                                      cfg.refine, rng)
+        means[b] = req.discount * np.maximum(values.mean(axis=1) - req.strike, 0.0).mean()
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(cfg.batches))
+
+
 class TestMcPrice:
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    @pytest.mark.parametrize("scheme", ["exact-ou", "euler-jump"])
+    def test_concurrent_batches_equal_serial_loop(self, scheme, workers, ou_model, jd_model,
+                                                  monkeypatch):
+        # five batches: not a multiple of any worker count tried
+        if workers is not None:
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        spec = ou_model if scheme == "exact-ou" else jd_model
+        basis = GhpBasis(drift=2.0, scale=1.5, order=2)
+        req = PriceRequest(2.0, 0.03, 0.0, (1.0, 2.0), basis, spec, 2.0)
+        cfg = McConfig(paths=400, batches=5, seed=17, scheme=scheme, refine=7)
+        est = mc_price(spec, req, cfg)
+        mean, std_error = _serial_mc(spec, req, cfg, scheme)
+        assert est.mean == mean
+        assert est.std_error == std_error
+
     def test_deterministic_model_exact_zero_error(self):
         spec = ModelSpec(drift_const=0.1, drift_lin=0.0, diff_sq=0.0)
         basis = GhpBasis(drift=1.0, scale=1.0, order=2)
