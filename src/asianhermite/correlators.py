@@ -1,12 +1,13 @@
 """Conditional correlators of a polynomial jump-diffusion at multiple times.
 
 ``E[Y(s_0)^{k_0} ... Y(s_m)^{k_m} | Y(t) = y]`` is evaluated by propagating
-the vectorized Kronecker power of the monomial vector through a chain of
-matrix exponentials.  Every exponential is taken at the compressed size
-``n*(r+1)+1`` -- the selector maps of :mod:`.kronecker` expand and compress
-around it -- so the ``(n+1)**(m+1)``-square propagators of the raw formula
-are never materialized.  A tower-rule recursion provides an independent
-second route for validation.
+the monomial vector of order ``n(m+1)`` through a chain of matrix
+exponentials and, at each sampling time, slicing out the part that carries
+the power observed there.  This is the paper's Kronecker chain with its
+selector gathers resolved: expanding by ``D``, fixing a power and
+compressing by ``E`` is a slice, so no ``(n+1)**(m+1)``-element vector is
+built.  Two reference routes validate it: the Kronecker chain itself,
+through the selector maps of :mod:`.kronecker`, and a tower-rule recursion.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import numpy as np
 
 from .generator import (
     MAX_GENERATOR_ORDER,
-    GeneratorMatrix,
     ModelSpec,
     NumericalError,
     generator_matrix,
     matrix_exponential,
+    scale_by_step,
 )
-from .kronecker import DEFAULT_SIZE_CAP, MthSelector, mth_selectors
+from .kronecker import mth_selectors
 
 
 @dataclass(frozen=True)
@@ -55,35 +56,6 @@ class CorrelatorQuery:
         return len(self.times) - 1
 
 
-@dataclass(frozen=True)
-class CompressedPropagator:
-    """Exponential of the rank-``r`` product generator, never materialized.
-
-    The full propagator acts on ``(n+1)**(r+1)`` components but factors as
-    expand-exponentiate-compress, so only the generator of order
-    ``n*(r+1)`` is ever exponentiated; the selectors gather in and out.
-    ``rank = 0`` is the plain generator with no compression around it.
-    """
-
-    rank: int
-    base: GeneratorMatrix
-    selectors: MthSelector | None  # present for rank >= 1
-
-    def apply(self, v: np.ndarray, dt: float, propagator) -> np.ndarray:
-        """``exp(compressed generator * dt) @ v`` via the cached exponential."""
-        if self.rank == 0:
-            return propagator(self.base.n, dt) @ v
-        w = self.selectors.apply_e(v)
-        return self.selectors.apply_d(propagator(self.base.n, dt) @ w)
-
-    def apply_generator(self, v: np.ndarray) -> np.ndarray:
-        """``compressed generator @ v``, for time derivatives of the chain."""
-        if self.rank == 0:
-            return self.base.matrix @ v
-        w = self.selectors.apply_e(v)
-        return self.selectors.apply_d(self.base.matrix @ w)
-
-
 def _monomials(y: float, order: int) -> np.ndarray:
     # overflow to infinity is intentional here; the finite checks downstream
     # turn it into a diagnosable error
@@ -111,12 +83,10 @@ class CorrelatorEngine:
     exponential depends on the order.  The engine is not thread-safe.
     """
 
-    def __init__(self, model: ModelSpec, size_cap: int = DEFAULT_SIZE_CAP):
+    def __init__(self, model: ModelSpec):
         self.model = model
-        self.size_cap = size_cap
         self._propagators: dict[tuple[int, float], np.ndarray] = {}
         self._generators: dict[int, np.ndarray] = {}
-        self._factors: dict[tuple[int, int], CompressedPropagator] = {}
         self.moments: dict[tuple, np.ndarray] = {}
 
     def _generator(self, order: int) -> np.ndarray:
@@ -129,76 +99,41 @@ class CorrelatorEngine:
         key = (order, dt)
         p = self._propagators.get(key)
         if p is None:
-            p = matrix_exponential(self._generator(order) * dt)
+            p = matrix_exponential(scale_by_step(self._generator(order), dt))
             p.setflags(write=False)
             self._propagators[key] = p
         return p
 
-    def compressed_propagator(self, n: int, rank: int) -> CompressedPropagator:
-        """Factor of the correlator chain at the given polynomial order and rank."""
-        key = (n, rank)
-        f = self._factors.get(key)
-        if f is None:
-            order = n * (rank + 1)
-            base = GeneratorMatrix(n=order, matrix=self._generator(order))
-            sel = mth_selectors(n, rank, self.size_cap) if rank >= 1 else None
-            f = self._factors[key] = CompressedPropagator(rank=rank, base=base, selectors=sel)
-        return f
-
-    def _initial_vector(self, n: int, m: int, y: float, derivative: bool) -> np.ndarray:
-        """``vec(H_n(y)^T (x)^m H_n(y))``, optionally its derivative in ``y``.
-
-        The vectorized outer product equals the (m+1)-fold Kronecker power of
-        ``H_n(y)``; the derivative applies the product rule across factors.
-        """
-        h = _monomials(y, n)
-        if not derivative:
-            return reduce(np.kron, [h] * (m + 1))
-        hp = _monomials_derivative(y, n)
-        out = np.zeros((n + 1) ** (m + 1))
-        for which in range(m + 1):
-            factors = [hp if i == which else h for i in range(m + 1)]
-            out += reduce(np.kron, factors)
-        return out
-
     def _chain(self, query: CorrelatorQuery, d_y: bool = False, d_s: int | None = None) -> float:
         """Evaluate the correlator chain; optional single-derivative variants.
 
-        ``d_y`` differentiates the initial state vector; ``d_s = j`` inserts
-        the generator into the exponential factor whose time step is
-        ``s_j - s_{j-1}`` (the sign bookkeeping for a maturity derivative
-        lives in :meth:`derivative_time`).
+        Propagate the monomial vector of order ``n(m+1)`` over each interval,
+        then keep the slice that starts at the power observed there: fixing
+        ``k_j`` between the expanding and compressing selectors of the
+        Kronecker chain is exactly ``w[k_j : k_j + n(m-j) + 1]``.  ``d_y``
+        starts from the derivative of the monomials; ``d_s = j`` inserts the
+        generator after the exponential over ``(s_{j-1}, s_j]`` (the sign
+        bookkeeping for a maturity derivative lives in
+        :meth:`derivative_time`).
         """
         m = query.m
         n = max(query.powers)
         if n == 0:
             # constant observable: unit value, vanishing derivatives
             return 1.0 if (not d_y and d_s is None) else 0.0
-        if (n + 1) ** (m + 1) > self.size_cap:
-            raise ValueError(
-                f"correlator with max power {n} over {m + 1} times expands to "
-                f"{(n + 1) ** (m + 1)} elements, above the cap {self.size_cap}"
-            )
         steps = np.diff(np.concatenate([[query.t], query.times]))
         # intermediate overflow is tolerated and surfaces as a diagnosable
         # error through the finite check at the end
         with np.errstate(over="ignore", invalid="ignore"):
-            v = self._initial_vector(n, m, query.y_t, derivative=d_y)
-            # factor 0: compressed propagation over (t, s_0]
-            factor = self.compressed_propagator(n, m)
-            v = factor.apply(v, steps[0], self._propagator)
-            if d_s == 0:
-                v = factor.apply_generator(v)
-            # unit-vector extraction of the power at s_0
-            r = v.reshape(-1, n + 1)[:, query.powers[0]]
-            # factors j = 1..m, right-multiplied in time order
-            for j in range(1, m + 1):
-                factor = self.compressed_propagator(n, m - j)
-                r = factor.apply(r, steps[j], self._propagator)
+            start = _monomials_derivative if d_y else _monomials
+            w = start(query.y_t, n * (m + 1))
+            for j, k in enumerate(query.powers):
+                order = n * (m + 1 - j)
+                w = self._propagator(order, steps[j]) @ w
                 if d_s == j:
-                    r = factor.apply_generator(r)
-                r = r.reshape(-1, n + 1)[:, query.powers[j]]
-        value = float(r[0])
+                    w = self._generator(order) @ w
+                w = w[k : k + n * (m - j) + 1]
+        value = float(w[0])
         if not np.isfinite(value):
             raise NumericalError(f"correlator chain overflowed for powers {query.powers}")
         return value
@@ -211,7 +146,7 @@ class CorrelatorEngine:
         """Partial derivative of the correlator with respect to ``y_t``.
 
         Only the initial vector depends on the state, so the chain is rerun
-        with the product-rule derivative of the Kronecker factors.
+        from the derivative of the monomials.
         """
         return self._chain(query, d_y=True)
 
@@ -237,6 +172,31 @@ def correlator(spec: ModelSpec, query: CorrelatorQuery, engine: CorrelatorEngine
     elif engine.model != spec:
         raise ValueError("engine was built for a different model")
     return engine.correlator(query)
+
+
+def correlator_kronecker_reference(spec: ModelSpec, query: CorrelatorQuery) -> float:
+    """Correlator by the paper's Kronecker chain, uncached, for validation.
+
+    Starts from the ``(m+1)``-fold Kronecker power of ``H_n(y)``.  Over the
+    interval ending at ``s_j`` it compresses with ``E``, applies the
+    exponential of the generator of order ``n(r+1)``, expands with ``D``
+    and fixes the power ``k_j``; ``r = m - j`` sampling times remain.
+    """
+    n = max(query.powers)
+    if n == 0:
+        return 1.0
+    steps = np.diff((query.t,) + query.times)
+    v = reduce(np.kron, [_monomials(query.y_t, n)] * (query.m + 1))
+    for j, k in enumerate(query.powers):
+        rank = query.m - j
+        p = matrix_exponential(generator_matrix(spec, n * (rank + 1)).matrix * steps[j])
+        if rank == 0:
+            v = p @ v
+        else:
+            sel = mth_selectors(n, rank)
+            v = sel.apply_d(p @ sel.apply_e(v))
+        v = v.reshape(-1, n + 1)[:, k]
+    return float(v[0])
 
 
 def correlator_tower_oracle(spec: ModelSpec, query: CorrelatorQuery) -> float:

@@ -70,6 +70,8 @@ class LevyMoments:
     c: np.ndarray = field(repr=False)
 
 
+# the table ends at the first overflow, so numpy's warnings about it are noise
+@np.errstate(over="ignore", invalid="ignore")
 def _nig_cumulants(params: NigParams) -> np.ndarray:
     """Cumulants of order 2.. of the NIG law (equal to the Levy moments).
 
@@ -255,6 +257,21 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def scale_by_step(g: np.ndarray, dt: float) -> np.ndarray:
+    """``g * dt``, the argument of a propagator's exponential.
+
+    A finite generator can still overflow once scaled by a long step; that
+    is a numerical failure at this order, reported as :class:`NumericalError`.
+    """
+    with np.errstate(over="ignore"):
+        a = g * dt
+    if not np.all(np.isfinite(a)):
+        raise NumericalError(
+            f"generator of order {a.shape[0] - 1} overflowed when scaled by the step {dt}"
+        )
+    return a
+
+
 def moment_vector(spec: ModelSpec, n: int, t: float, horizon: float, y_t: float) -> np.ndarray:
     """All conditional moments ``E[Y(T)^k | Y(t) = y]`` for ``k = 0..n`` at once."""
     if horizon < t:
@@ -262,7 +279,7 @@ def moment_vector(spec: ModelSpec, n: int, t: float, horizon: float, y_t: float)
     g = generator_matrix(spec, n)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.power(y_t, np.arange(n + 1, dtype=float))
-        out = matrix_exponential(g.matrix * (horizon - t)) @ powers
+        out = matrix_exponential(scale_by_step(g.matrix, horizon - t)) @ powers
     if not np.all(np.isfinite(out)):
         raise NumericalError(
             f"moment vector overflowed at order {n}, horizon {horizon - t}, state {y_t}"

@@ -198,28 +198,24 @@ def payoff_series_eval(expansion: PayoffExpansion, x):
     return float(total) if total.ndim == 0 else total
 
 
-def payoff_l2_error(expansion: PayoffExpansion, tail_terms: int | None = None) -> float:
+def payoff_l2_error(expansion: PayoffExpansion) -> float:
     """Weighted L2 norm of the payoff approximation error past the truncation.
 
     By orthogonality the squared error is the tail sum of squared
     coefficients times the basis norms, which collapses to
     ``sqrt(2 pi) b^3 phi(d)^2 * sum_{n > N} q_{n-2}(d)^2 / n!``.  Each term
     is evaluated with orthonormal-scaled polynomial values so no factorial
-    is ever formed.  The tail defaults to all terms up to index
+    is ever formed.  The tail runs over all terms up to index
     ``SERIES_TAIL_END``; indices beyond that are not supported.
     """
     basis = expansion.basis
     n0 = basis.order
-    if tail_terms is None:
-        tail_terms = SERIES_TAIL_END - n0
-    if tail_terms < 1:
+    n_end = SERIES_TAIL_END
+    if n0 >= n_end:
         raise ValueError("tail must contain at least one term")
-    if n0 + tail_terms > SERIES_TAIL_END:
-        raise ValueError(f"tail may not extend past index {SERIES_TAIL_END}")
     a, b = basis.drift, basis.scale
     d = (expansion.strike - a) / b
     pdf, cdf = std_normal(d)
-    n_end = n0 + tail_terms
     total = 0.0
     if n0 < 1:
         # degree-1 coefficient does not follow the q_{n-2} pattern

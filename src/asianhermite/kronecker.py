@@ -55,16 +55,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.atleast_2d(a), np.atleast_2d(b))
 
 
-def kron_power_apply(a: np.ndarray, d: int, b: np.ndarray) -> np.ndarray:
-    """d-fold Kronecker power of ``a`` times ``b``; ``d = 0`` returns ``b`` unchanged."""
-    if d < 0:
-        raise ValueError("Kronecker power must be non-negative")
-    out = np.atleast_2d(b)
-    for _ in range(d):
-        out = np.kron(np.atleast_2d(a), out)
-    return out
-
-
 def _eliminating_index(n: int, m: int) -> np.ndarray:
     """vecL position -> vec position for an ``n x m`` matrix."""
     idx = np.empty(n + m - 1, dtype=np.int64)
@@ -207,18 +197,18 @@ def _mth_index_maps(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return e_idx, d_idx
 
 
-def mth_selectors(n: int, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> MthSelector:
+def mth_selectors(n: int, m: int) -> MthSelector:
     """Build ``E`` and ``D`` of order ``m`` by the defining recursion.
 
     Raises ``ValueError`` when the expanded size ``(n+1)**(m+1)`` exceeds
-    ``size_cap``.
+    ``DEFAULT_SIZE_CAP``.
     """
     if n < 1 or m < 1:
         raise ValueError("selector orders must satisfy n >= 1 and m >= 1")
     expanded = (n + 1) ** (m + 1)
-    if expanded > size_cap:
+    if expanded > DEFAULT_SIZE_CAP:
         raise ValueError(
-            f"expanded selector size {expanded} exceeds the cap of {size_cap} elements"
+            f"expanded selector size {expanded} exceeds the cap of {DEFAULT_SIZE_CAP} elements"
         )
     e_idx, d_idx = _mth_index_maps(n, m)
     return MthSelector(n, m, e_idx, d_idx)

@@ -77,13 +77,13 @@ class MultiIndexTerm:
     coeff: int
 
 
-def multinomial_expand(total: int, m: int, term_cap: int = DEFAULT_TERM_CAP) -> list[MultiIndexTerm]:
+def multinomial_expand(total: int, m: int) -> list[MultiIndexTerm]:
     """All multi-indices ``(k_0..k_m)`` with ``|k| = total`` and their multinomial weights."""
     if total < 0 or m < 0:
         raise ValueError("expansion orders must be non-negative")
     count = comb(total + m, m)
-    if count > term_cap:
-        raise ValueError(f"expansion would produce {count} terms, above the cap {term_cap}")
+    if count > DEFAULT_TERM_CAP:
+        raise ValueError(f"expansion would produce {count} terms, above the cap {DEFAULT_TERM_CAP}")
     fact = math.factorial(total)
     out: list[MultiIndexTerm] = []
 

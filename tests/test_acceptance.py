@@ -26,6 +26,7 @@ from asianhermite import (
     accuracy_gamma,
     asian_price,
     average_std,
+    correlator_kronecker_reference,
     correlator_tower_oracle,
     delta,
     error_constant,
@@ -153,6 +154,7 @@ def test_criterion_04_correlator_dual_path(model, label):
         fast = engine.correlator(query)
         oracle = correlator_tower_oracle(model, query)
         assert fast == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        assert fast == pytest.approx(correlator_kronecker_reference(model, query), rel=1e-12)
     _report(4, f"correlator dual path [{label}]", started, 120.0)
 
 

@@ -84,6 +84,18 @@ class TestPriceCommand:
         assert "order capped at 172; order 200 exceeds max_order(model) // (m + 1) = 172 // 1" in err
         assert "numerical failure: order 172 failed: matrix exponential overflowed" in err
 
+    def test_step_overflow_is_numerical_failure(self, capsys):
+        # alpha = 0.005 keeps the generator finite up to order 83, but not
+        # its product with the two-year step
+        code = main([
+            "price", "--model", "jd", "--nig", "0.005", "0", "0", "1.0",
+            "--b0", "-0.02", "--b1", "0.01", "--sigma0", "0.49", "--y0", "2",
+            "--maturity", "2", "--m", "0", "--strike", "2", "--order", "200",
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical failure: order 83 failed: generator of order 83 overflowed" in err
+
     def test_order_within_cap_is_silent(self, capsys):
         code = main([
             "price", "--model", "jd", "--nig", "1", "0", "0", "0.05",

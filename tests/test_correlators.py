@@ -8,6 +8,7 @@ from asianhermite import (
     CorrelatorQuery,
     ModelSpec,
     correlator,
+    correlator_kronecker_reference,
     correlator_tower_oracle,
     generator_matrix,
     matrix_exponential,
@@ -98,16 +99,26 @@ class TestDualPath:
             b = correlator_tower_oracle(spec, q)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("model_name", ("bm_model", "ou_model", "jd_model"))
+    def test_matches_kronecker_reference(self, model_name, request):
+        spec = request.getfixturevalue(model_name)
+        rng = np.random.default_rng(23)
+        engine = CorrelatorEngine(spec)
+        for _ in range(30):
+            q = random_query(rng, n_cap=4, m_cap=3)
+            assert engine.correlator(q) == pytest.approx(
+                correlator_kronecker_reference(spec, q), rel=1e-12, abs=1e-14
+            )
+
 
 class TestCompressionIdentity:
     @pytest.mark.parametrize("n", (1, 2, 3))
     @pytest.mark.parametrize("r", (1, 2))
     def test_compressed_equals_dense_on_expanded_vectors(self, jd_model, n, r):
         # dense route, built only here: exp(D G E * tau) applied to the
-        # expanded Kronecker vector, against the engine's compressed factor
+        # expanded Kronecker vector, against gathering around the exponential
+        # of the order-n(r+1) generator
         rng = np.random.default_rng(n + 10 * r)
-        engine = CorrelatorEngine(jd_model)
-        factor = engine.compressed_propagator(n, r)
         sel = mth_selectors(n, r)
         g_big = generator_matrix(jd_model, n * (r + 1)).matrix
         d_dense = sel.d_matrix.toarray()
@@ -121,16 +132,23 @@ class TestCompressionIdentity:
             for _ in range(r):
                 expanded = np.kron(expanded, h)
             dense_out = matrix_exponential(g_tilde * tau) @ expanded
-            compressed = factor.apply(expanded, tau, engine._propagator)
+            compressed = sel.apply_d(matrix_exponential(g_big * tau) @ sel.apply_e(expanded))
             np.testing.assert_allclose(dense_out, compressed, rtol=1e-10, atol=1e-12)
 
-    def test_factor_shapes(self, ou_model):
-        engine = CorrelatorEngine(ou_model)
-        factor = engine.compressed_propagator(3, 2)
-        assert factor.base.n == 9          # exponentials live at order n*(r+1)
-        assert factor.selectors.expanded_size == 4**3
-        plain = engine.compressed_propagator(3, 0)
-        assert plain.selectors is None
+    @pytest.mark.parametrize("r", (1, 2, 3))
+    def test_fixing_a_power_between_selectors_is_a_slice(self, r):
+        # the engine's chain step: expanding by D, fixing the power k of the
+        # last factor and compressing by the next E keeps w[k : k + n*r + 1]
+        rng = np.random.default_rng(r)
+        for n in range(1, 8):
+            sel = mth_selectors(n, r)
+            inner = mth_selectors(n, r - 1) if r > 1 else None
+            w = rng.normal(size=sel.compressed_size)
+            expanded = sel.apply_d(w).reshape(-1, n + 1)
+            for k in range(n + 1):
+                fixed = expanded[:, k]
+                gathered = inner.apply_e(fixed) if inner else fixed
+                assert np.array_equal(gathered, w[k : k + n * r + 1])
 
 
 class TestEngine:
@@ -149,10 +167,13 @@ class TestEngine:
             correlator(bm_model, q, engine=engine)
 
     def test_size_cap(self, ou_model):
-        engine = CorrelatorEngine(ou_model, size_cap=100)
+        # the engine has no expanded-size cap: a query the Kronecker chain
+        # would expand to 5**3 elements evaluates at order 12 directly
+        engine = CorrelatorEngine(ou_model)
         q = CorrelatorQuery(t=0.0, y_t=0.0, times=(0.5, 1.0, 1.5), powers=(4, 4, 4))
-        with pytest.raises(ValueError):
-            engine.correlator(q)
+        assert engine.correlator(q) == pytest.approx(
+            correlator_tower_oracle(ou_model, q), rel=1e-9, abs=1e-12
+        )
 
     def test_state_derivative_against_finite_difference(self, jd_model):
         engine = CorrelatorEngine(jd_model)

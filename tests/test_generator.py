@@ -9,6 +9,8 @@ import pytest
 
 import asianhermite
 from asianhermite import (
+    CorrelatorEngine,
+    CorrelatorQuery,
     ModelSpec,
     NigParams,
     NumericalError,
@@ -151,6 +153,34 @@ class TestOrderLimit:
         assert np.all(np.isfinite(generator_matrix(spec, 172).matrix))
         with pytest.raises(ValueError, match="limit 172"):
             generator_matrix(spec, 173)
+
+    def test_limits_found_without_warnings(self):
+        # the cumulant table ends at its first overflow; finding it warns of
+        # nothing (a fresh process, since the table is cached per process)
+        script = (
+            "import warnings\n"
+            "warnings.simplefilter('error')\n"
+            "import asianhermite as ah\n"
+            "for alpha, limit in ((0.01, 89), (1.0, 172)):\n"
+            "    spec = ah.ModelSpec(-0.02, 0.01, 0.49, ah.NigParams(alpha, 0.0, 0.0, 0.05))\n"
+            "    assert ah.max_order(spec) == limit, (alpha, ah.max_order(spec))\n"
+            "    ah.generator_matrix(spec, limit)\n"
+        )
+        src = os.path.dirname(os.path.dirname(asianhermite.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_step_overflow_is_numerical_error(self):
+        # the generator is finite at the limit 83 but not times a 2-year step
+        spec = ModelSpec(-0.02, 0.01, 0.49, NigParams(0.005, 0.0, 0.0, 1.0))
+        assert max_order(spec) == 83
+        with pytest.raises(NumericalError, match="order 83 overflowed when scaled by the step 2.0"):
+            moment_vector(spec, 83, 0.0, 2.0, 2.0)
+        engine = CorrelatorEngine(spec)
+        with pytest.raises(NumericalError, match="order 83 overflowed"):
+            engine.correlator(CorrelatorQuery(t=0.0, y_t=2.0, times=(2.0,), powers=(83,)))
 
     def test_gaussian_limit(self, ou_model):
         assert max_order(ou_model) == MAX_GENERATOR_ORDER

@@ -336,7 +336,10 @@ class TestPayoffL2Error:
             alpha = (left + right) / ghp_norm_sq(wide, n)
             total += alpha**2 * ghp_norm_sq(wide, n)
             assert alpha / b**n == pytest.approx(beta_wide[n], rel=1e-8, abs=1e-14)
-        assert payoff_l2_error(expansion, tail_terms=tail) == pytest.approx(
+        # the terms n0+1..n0+tail are what the tail at order n0 holds
+        # beyond the tail at order n0+tail
+        beyond = payoff_l2_error(payoff_coefficients(strike, GhpBasis(drift=a, scale=b, order=n0 + tail)))
+        assert math.sqrt(payoff_l2_error(expansion) ** 2 - beyond**2) == pytest.approx(
             math.sqrt(total), rel=1e-9
         )
 
@@ -351,18 +354,20 @@ class TestPayoffL2Error:
         assert truncated == pytest.approx(full, rel=0.02)
 
     def test_tail_bounds_validated(self):
-        basis = GhpBasis(drift=5.0, scale=1.0, order=10)
-        expansion = payoff_coefficients(5.0, basis)
+        # the tail ends at SERIES_TAIL_END, so a basis of that order has none
+        basis = GhpBasis(drift=5.0, scale=1.0, order=SERIES_TAIL_END)
         with pytest.raises(ValueError):
-            payoff_l2_error(expansion, tail_terms=0)
-        with pytest.raises(ValueError):
-            payoff_l2_error(expansion, tail_terms=SERIES_TAIL_END)
+            payoff_l2_error(payoff_coefficients(5.0, basis))
 
     def test_default_tail_reaches_cap(self):
-        basis = GhpBasis(drift=5.0, scale=1.0, order=10)
-        expansion = payoff_coefficients(5.0, basis)
-        assert payoff_l2_error(expansion) == payoff_l2_error(
-            expansion, tail_terms=SERIES_TAIL_END - 10
+        # one order below the end the tail is the single term n = SERIES_TAIL_END;
+        # with the drift at the strike and b = 1 it is He_{n-2}(0)^2 / (sqrt(2 pi) n!),
+        # where He_{n-2}(0)^2 = ((n-3)!!)^2
+        n = SERIES_TAIL_END
+        basis = GhpBasis(drift=5.0, scale=1.0, order=n - 1)
+        expected = math.prod(range(1, n - 2, 2)) ** 2 / math.factorial(n) / math.sqrt(2 * math.pi)
+        assert payoff_l2_error(payoff_coefficients(5.0, basis)) ** 2 == pytest.approx(
+            expected, rel=1e-10
         )
 
 

@@ -5,7 +5,6 @@ from asianhermite import (
     duplicating,
     eliminating,
     kron,
-    kron_power_apply,
     mth_selectors,
     vec,
     vec_inverse,
@@ -89,25 +88,6 @@ class TestKron:
         np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-14)
 
 
-class TestKronPower:
-    def test_zero_power_returns_b(self):
-        b = np.array([[1.0, 2.0]])
-        np.testing.assert_array_equal(kron_power_apply(np.eye(3), 0, b), b)
-
-    def test_one_power(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        b = np.array([[2.0]])
-        np.testing.assert_array_equal(kron_power_apply(a, 1, b), kron(a, b))
-
-    def test_identity_power(self):
-        out = kron_power_apply(np.eye(2), 2, np.eye(2))
-        np.testing.assert_array_equal(out, np.eye(8))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            kron_power_apply(np.eye(2), -1, np.eye(2))
-
-
 class TestSelectors:
     def test_e2_selects_expected_positions(self):
         e = eliminating(2, 2)
@@ -187,7 +167,8 @@ class TestMthSelectors:
 
     def test_size_cap_enforced(self):
         with pytest.raises(ValueError):
-            mth_selectors(100, 4, size_cap=1_000_000)
+            # 101**5 expanded elements, above DEFAULT_SIZE_CAP = 5e7
+            mth_selectors(100, 4)
 
     def test_invalid_orders(self):
         with pytest.raises(ValueError):

@@ -62,7 +62,8 @@ class TestMultinomialExpand:
 
     def test_term_cap(self):
         with pytest.raises(ValueError):
-            multinomial_expand(100, 4, term_cap=1000)
+            # C(104, 4) = 4 598 126 terms, above the cap of 2 000 000
+            multinomial_expand(100, 4)
 
 
 class TestEuropeanPrice:
