@@ -1,9 +1,11 @@
 """Command-line runner: single-price quotes and batch experiment tables.
 
-``asianhermite price`` quotes one option with optional Greeks and a Monte
-Carlo cross-check.  ``asianhermite run`` executes a named preset or a JSON
-config file over grids of strikes, scales, truncations and sampling counts,
-writing a CSV table plus a JSON metadata sidecar.
+``asianhermite run`` executes a named preset or a JSON config file over
+grids of strikes, scales, truncations and sampling counts, writing a CSV
+table plus a JSON metadata sidecar.  ``asianhermite price`` quotes one
+option with optional Greeks and a Monte Carlo cross-check; its flags fill a
+one-cell pricing config, which goes through the same validation and
+resolution as a ``run`` config.
 
 Exit codes: 2 for configuration errors, 3 for numerical failures, 4 when
 ``--strict`` is set and the series did not converge.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -26,10 +29,17 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .benchmarks import GaussianLaw, accuracy_gamma, gaussian_call, ou_asian_law, scale_floor
+from .benchmarks import accuracy_gamma, gaussian_call, ou_asian_law, scale_floor
 from .correlators import CorrelatorEngine
 from .generator import ModelSpec, NigParams, NumericalError, max_order
-from .hermite import GhpBasis, payoff_coefficients, payoff_l2_error, payoff_series_eval
+from .hermite import (
+    MAX_ORDER,
+    SERIES_TAIL_END,
+    GhpBasis,
+    payoff_coefficients,
+    payoff_l2_error,
+    payoff_series_eval,
+)
 from .montecarlo import McConfig, mc_price
 from .pricing import (
     PriceRequest,
@@ -55,14 +65,12 @@ class ConfigError(Exception):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # numpy floats too; NaN is blank
+        return repr(float(value)) if value == value else ""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(float(value))
     return str(value)
 
 
@@ -97,10 +105,30 @@ def _num(value, path: str) -> float:
     return float(value)
 
 
-def _num_list(value, path: str) -> list[float]:
+def _int(value, path: str, minimum: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _list(value, path: str, item=_num) -> tuple:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of numbers")
-    return [_num(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        raise ConfigError(f"{path}: expected a non-empty list")
+    return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _positive_list(value, path: str) -> tuple[float, ...]:
+    values = _list(value, path)
+    if any(v <= 0 for v in values):
+        raise ConfigError(f"{path}: must be positive")
+    return values
+
+
+def _strike(value, path: str) -> float:
+    strike = _num(value, path)
+    if strike < 0:
+        raise ConfigError(f"{path}: must be non-negative")
+    return strike
 
 
 def parse_model(cfg: dict, path: str = "model.") -> ModelSpec:
@@ -139,6 +167,14 @@ def _model_label(model: ModelSpec) -> str:
     return "ou"
 
 
+def _model_config(model: ModelSpec) -> dict:
+    block = {"kind": _model_label(model), "b0": model.drift_const,
+             "b1": model.drift_lin, "sigma0": model.diff_sq}
+    if model.jumps is not None:
+        block["nig"] = dataclasses.asdict(model.jumps)
+    return block
+
+
 @dataclass(frozen=True)
 class PricingExperiment:
     experiment: str
@@ -165,53 +201,39 @@ def parse_pricing(cfg: dict) -> PricingExperiment:
     maturity = _num(_req(cfg, "maturity", ""), "maturity")
     if maturity <= t:
         raise ConfigError("maturity: must lie after t")
-    m_values = cfg.get("m_values", [0])
-    if not isinstance(m_values, list) or not m_values:
-        raise ConfigError("m_values: expected a non-empty list")
-    for i, m in enumerate(m_values):
-        if not isinstance(m, int) or m < 0:
-            raise ConfigError(f"m_values[{i}]: expected a non-negative integer")
-    strikes = _num_list(_req(cfg, "strikes", ""), "strikes")
-    if any(k < 0 for k in strikes):
-        raise ConfigError("strikes: must be non-negative")
+    m_values = _list(cfg.get("m_values", [0]), "m_values", lambda v, p: _int(v, p, 0))
+    strikes = _list(_req(cfg, "strikes", ""), "strikes", _strike)
     scales = scale_ratios = None
     if "scales" in cfg and "scale_ratios" in cfg:
         raise ConfigError("scales: give either scales or scale_ratios, not both")
     if "scales" in cfg:
-        scales = tuple(_num_list(cfg["scales"], "scales"))
-        if any(b <= 0 for b in scales):
-            raise ConfigError("scales: must be positive")
+        scales = _positive_list(cfg["scales"], "scales")
     elif "scale_ratios" in cfg:
-        scale_ratios = tuple(_num_list(cfg["scale_ratios"], "scale_ratios"))
-        if any(r <= 0 for r in scale_ratios):
-            raise ConfigError("scale_ratios: must be positive")
+        scale_ratios = _positive_list(cfg["scale_ratios"], "scale_ratios")
+        if model.diff_sq == 0 and model.jumps is None:
+            raise ConfigError("scale_ratios: the scale floor needs a model with positive "
+                              "variance (sigma0 > 0 or jumps)")
     else:
         raise ConfigError("scales: either scales or scale_ratios is required")
     a_policy = cfg.get("a_policy", "mean")
     if a_policy != "mean":
         a_policy = _num(a_policy, "a_policy")
-    max_order = cfg.get("max_order", 60)
-    if not isinstance(max_order, int) or max_order < 1:
-        raise ConfigError("max_order: expected a positive integer")
     mc = cfg.get("mc")
     if mc is not None:
         if not isinstance(mc, dict):
             raise ConfigError("mc: expected an object or null")
         for key in ("paths", "batches", "refine"):
-            if key in mc and (not isinstance(mc[key], int) or mc[key] < 1):
-                raise ConfigError(f"mc.{key}: expected a positive integer")
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed: expected an integer")
+            if key in mc:
+                _int(mc[key], f"mc.{key}", 1)
     rate = _num(cfg.get("rate", 0.0), "rate")
     if rate < 0:
         raise ConfigError("rate: must be non-negative")
-    output = cfg.get("output", f"{experiment}.csv")
     return PricingExperiment(
         experiment=experiment, model=model, t=t, y0=_num(cfg.get("y0", 0.0), "y0"),
-        maturity=maturity, rate=rate, m_values=tuple(m_values), strikes=tuple(strikes),
+        maturity=maturity, rate=rate, m_values=m_values, strikes=strikes,
         scales=scales, scale_ratios=scale_ratios, a_policy=a_policy,
-        max_order=max_order, mc=mc, seed=seed, output=output,
+        max_order=_int(cfg.get("max_order", 60), "max_order", 1), mc=mc,
+        seed=_int(cfg.get("seed", 0), "seed", 0), output=cfg.get("output", f"{experiment}.csv"),
     )
 
 
@@ -223,10 +245,20 @@ def _uniform_times(t: float, maturity: float, m: int) -> tuple[float, ...]:
     return tuple(t + (j + 1) * (maturity - t) / (m + 1) for j in range(m + 1))
 
 
-def _benchmark_law(model: ModelSpec, t: float, y0: float, times) -> GaussianLaw | None:
-    if model.jumps is not None or model.diff_sq <= 0:
-        return None
-    return ou_asian_law(model, t, y0, times)
+def _resolve(exp: PricingExperiment, engine: CorrelatorEngine, times):
+    """Basis drift, closed-form law (``None`` without one) and absolute scales on ``times``."""
+    model = exp.model
+    if exp.a_policy == "mean":
+        drift = default_drift(model, exp.t, exp.y0, times)
+    else:
+        drift = float(exp.a_policy)
+    law = None
+    if model.jumps is None and model.diff_sq > 0:
+        law = ou_asian_law(model, exp.t, exp.y0, times)
+    if exp.scales is not None:
+        return drift, law, exp.scales
+    floor = scale_floor(average_std(model, exp.t, exp.y0, times, engine=engine))
+    return drift, law, tuple(r * floor for r in exp.scale_ratios)
 
 
 def _capped_order(model: ModelSpec, m: int, requested: int, prefix: str = "") -> int:
@@ -250,6 +282,11 @@ def _price_report(request: PriceRequest, engine):
         raise NumericalError(f"order {request.basis.order} failed: {exc}") from exc
 
 
+def _mc_config(mc: dict, seed: int) -> McConfig:
+    return McConfig(paths=mc.get("paths", 20_000), batches=mc.get("batches", 100),
+                    seed=seed, refine=mc.get("refine", 100))
+
+
 def _run_pricing_cell(exp: PricingExperiment, engine, times, m, order, drift, law, strike,
                       scale, cell_idx):
     started = time.perf_counter()
@@ -260,15 +297,10 @@ def _run_pricing_cell(exp: PricingExperiment, engine, times, m, order, drift, la
     )
     report = _price_report(request, engine)
     exact = gaussian_call(law, strike) if law is not None else None
-    estimate = None
+    mc = (None, None, None)
     if exp.mc is not None:
-        cfg = McConfig(
-            paths=exp.mc.get("paths", 20_000),
-            batches=exp.mc.get("batches", 100),
-            seed=exp.seed * 1_000_003 + cell_idx,
-            refine=exp.mc.get("refine", 100),
-        )
-        estimate = mc_price(exp.model, request, cfg)
+        estimate = mc_price(exp.model, request, _mc_config(exp.mc, exp.seed * 1_000_003 + cell_idx))
+        mc = (estimate.mean, *estimate.ci95)
     wall_ms = int(round(1000 * (time.perf_counter() - started)))
     rows = []
     for n in range(order + 1):
@@ -277,24 +309,25 @@ def _run_pricing_cell(exp: PricingExperiment, engine, times, m, order, drift, la
         if exact is not None and exact != 0 and math.isfinite(price_n):
             gamma = accuracy_gamma(exact, price_n)
         gt = float(report.gamma_tilde[n]) if n >= 1 else None
-        rows.append({
-            "experiment": exp.experiment,
-            "model": _model_label(exp.model),
-            "K": strike,
-            "a": drift,
-            "b": scale,
-            "N": n,
-            "m": m,
-            "price": price_n,
-            "gamma": gamma,
-            "gamma_tilde": gt,
-            "mc_mean": estimate.mean if estimate else None,
-            "mc_lo": estimate.ci95[0] if estimate else None,
-            "mc_hi": estimate.ci95[1] if estimate else None,
-            "stopped": n == report.chosen_N,
-            "wall_ms": wall_ms,
-        })
+        rows.append((exp.experiment, _model_label(exp.model), strike, drift, scale, n, m,
+                     price_n, gamma, gt, *mc, n == report.chosen_N, wall_ms))
     return rows
+
+
+def _write_table(out_dir: str, output: str, header, rows, meta: dict) -> tuple[str, str]:
+    """Write ``rows`` under ``header`` as a CSV table and ``meta`` as its JSON sidecar."""
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, output)
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    meta_path = csv_path + ".meta.json"
+    with open(meta_path, "w") as fh:
+        json.dump({"schema_version": SCHEMA_VERSION, "engine": _engine_version(), **meta},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return csv_path, meta_path
 
 
 def run_pricing(exp: PricingExperiment, out_dir: str) -> tuple[str, str]:
@@ -304,145 +337,88 @@ def run_pricing(exp: PricingExperiment, out_dir: str) -> tuple[str, str]:
     for m in exp.m_values:
         times = _uniform_times(exp.t, exp.maturity, m)
         order = _capped_order(exp.model, m, exp.max_order, f"m={m}: ")
-        if exp.a_policy == "mean":
-            drift = default_drift(exp.model, exp.t, exp.y0, times)
-        else:
-            drift = float(exp.a_policy)
-        law = _benchmark_law(exp.model, exp.t, exp.y0, times)
-        if exp.scales is not None:
-            bs = exp.scales
-        else:
-            floor = scale_floor(average_std(exp.model, exp.t, exp.y0, times, engine=engine))
-            bs = tuple(r * floor for r in exp.scale_ratios)
+        drift, law, scales = _resolve(exp, engine, times)
         for strike in exp.strikes:
-            for b in bs:
+            for b in scales:
                 cells.append((times, m, order, drift, law, strike, b))
     results = [
         _run_pricing_cell(exp, engine, *cell, idx) for idx, cell in enumerate(cells)
     ]
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, exp.output)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PRICING_COLUMNS)
-        for rows in results:
-            for row in rows:
-                writer.writerow([_fmt(row[c]) for c in PRICING_COLUMNS])
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "engine": _engine_version(),
-        "seed": exp.seed,
-        "kind": "pricing",
-        "config": _resolved_config(exp),
-    }
-    meta_path = csv_path + ".meta.json"
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, meta_path
-
-
-def _resolved_config(exp: PricingExperiment) -> dict:
-    model = {
-        "kind": _model_label(exp.model),
-        "b0": exp.model.drift_const,
-        "b1": exp.model.drift_lin,
-        "sigma0": exp.model.diff_sq,
-    }
-    if exp.model.jumps is not None:
-        j = exp.model.jumps
-        model["nig"] = {"alpha": j.alpha, "beta": j.beta, "mu": j.mu, "delta": j.delta}
-    return {
-        "experiment": exp.experiment,
-        "model": model,
-        "t": exp.t,
-        "y0": exp.y0,
-        "maturity": exp.maturity,
-        "rate": exp.rate,
-        "m_values": list(exp.m_values),
-        "strikes": list(exp.strikes),
-        "scales": list(exp.scales) if exp.scales else None,
-        "scale_ratios": list(exp.scale_ratios) if exp.scale_ratios else None,
-        "a_policy": exp.a_policy,
-        "max_order": exp.max_order,
-        "mc": exp.mc,
-        "seed": exp.seed,
-        "output": exp.output,
-    }
+    config = dataclasses.asdict(exp)
+    config["model"] = _model_config(exp.model)
+    return _write_table(out_dir, exp.output, PRICING_COLUMNS,
+                        (row for rows in results for row in rows),
+                        {"seed": exp.seed, "kind": "pricing", "config": config})
 
 
 def run_payoff_table(cfg: dict, out_dir: str) -> tuple[str, str]:
     """Payoff-approximation curves: series value against the kinked payoff."""
     experiment = _req(cfg, "experiment", "")
-    strike = _num(_req(cfg, "strike", ""), "strike")
+    strike = _strike(_req(cfg, "strike", ""), "strike")
     drift = _num(cfg.get("a", strike), "a")
-    scales = _num_list(_req(cfg, "scales", ""), "scales")
-    orders = cfg.get("orders", [5, 15, 30, 100])
+    scales = _positive_list(_req(cfg, "scales", ""), "scales")
+    orders = _list(cfg.get("orders", [5, 15, 30, 100]), "orders", lambda v, p: _int(v, p, 0))
+    if max(orders) > MAX_ORDER:
+        raise ConfigError(f"orders: must not exceed {MAX_ORDER}")
     grid = cfg.get("x_grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError("x_grid: expected an object")
     lo = _num(grid.get("lo", strike - 5.0), "x_grid.lo")
     hi = _num(grid.get("hi", strike + 5.0), "x_grid.hi")
-    points = grid.get("points", 201)
-    xs = np.linspace(lo, hi, points)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, cfg.get("output", f"{experiment}.csv"))
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", "K", "a", "b", "N", "x", "payoff", "series_value"])
+    xs = np.linspace(lo, hi, _int(grid.get("points", 201), "x_grid.points", 1))
+
+    def rows():
         for b in scales:
             for order in orders:
                 exp_ = payoff_coefficients(strike, GhpBasis(drift=drift, scale=b, order=order))
                 vals = payoff_series_eval(exp_, xs)
                 for x, v in zip(xs, vals):
-                    writer.writerow([
-                        experiment, _fmt(strike), _fmt(drift), _fmt(b), order,
-                        _fmt(float(x)), _fmt(max(x - strike, 0.0)), _fmt(float(v)),
-                    ])
-    meta_path = csv_path + ".meta.json"
-    with open(meta_path, "w") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, "engine": _engine_version(),
-                   "kind": "payoff-approximation", "config": cfg}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, meta_path
+                    yield (experiment, strike, drift, b, order, float(x),
+                           max(x - strike, 0.0), float(v))
+
+    return _write_table(out_dir, cfg.get("output", f"{experiment}.csv"),
+                        ["experiment", "K", "a", "b", "N", "x", "payoff", "series_value"],
+                        rows(), {"kind": "payoff-approximation", "config": cfg})
 
 
 def run_error_table(cfg: dict, out_dir: str) -> tuple[str, str]:
     """Series-error tables: weighted L2 error over truncations and scales."""
     experiment = _req(cfg, "experiment", "")
-    strike = _num(_req(cfg, "strike", ""), "strike")
-    drifts = _num_list(cfg.get("drifts", [strike]), "drifts")
-    scales = _num_list(_req(cfg, "scales", ""), "scales")
-    max_order = cfg.get("max_order", 30)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, cfg.get("output", f"{experiment}.csv"))
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", "K", "a", "b", "N", "l2_error"])
+    strike = _strike(_req(cfg, "strike", ""), "strike")
+    drifts = _list(cfg.get("drifts", [strike]), "drifts")
+    scales = _positive_list(_req(cfg, "scales", ""), "scales")
+    max_order = _int(cfg.get("max_order", 30), "max_order", 0)
+    if max_order >= SERIES_TAIL_END:
+        raise ConfigError(f"max_order: must be below SERIES_TAIL_END = {SERIES_TAIL_END}")
+
+    def rows():
         for a in drifts:
             for b in scales:
                 for order in range(max_order + 1):
                     exp_ = payoff_coefficients(strike, GhpBasis(drift=a, scale=b, order=order))
-                    err = payoff_l2_error(exp_)
-                    writer.writerow([
-                        experiment, _fmt(strike), _fmt(a), _fmt(b), order, _fmt(err),
-                    ])
-    meta_path = csv_path + ".meta.json"
-    with open(meta_path, "w") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, "engine": _engine_version(),
-                   "kind": "series-error", "config": cfg}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, meta_path
+                    yield experiment, strike, a, b, order, payoff_l2_error(exp_)
+
+    return _write_table(out_dir, cfg.get("output", f"{experiment}.csv"),
+                        ["experiment", "K", "a", "b", "N", "l2_error"],
+                        rows(), {"kind": "series-error", "config": cfg})
 
 
 def load_config(name_or_path: str) -> dict:
     """Load a bundled preset by name or a JSON config by path."""
-    if os.path.exists(name_or_path):
-        with open(name_or_path) as fh:
-            return json.load(fh)
     try:
-        text = resources.files("asianhermite").joinpath(f"presets/{name_or_path}.json").read_text()
+        if os.path.exists(name_or_path):
+            with open(name_or_path) as fh:
+                cfg = json.load(fh)
+        else:
+            text = resources.files("asianhermite").joinpath(f"presets/{name_or_path}.json")
+            cfg = json.loads(text.read_text())
     except FileNotFoundError:
         raise ConfigError(f"no such preset or config file: {name_or_path}") from None
-    return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name_or_path}: not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{name_or_path}: expected a JSON object")
+    return cfg
 
 
 def run_experiment(cfg: dict, out_dir: str) -> tuple[str, str]:
@@ -461,81 +437,74 @@ def run_experiment(cfg: dict, out_dir: str) -> tuple[str, str]:
 # price subcommand
 
 
-def _parse_scale(raw: str, floor: float | None) -> float:
-    if raw.startswith("ratio:"):
-        if floor is None:
-            raise ConfigError("--b ratio form needs a model with positive variance")
-        try:
-            ratio = float(raw.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"--b: bad ratio value {raw!r}") from None
-        if ratio <= 0:
-            raise ConfigError("--b: ratio must be positive")
-        return ratio * floor
+def _flag_number(raw: str):
+    """``raw`` as a number if it parses as one, else as text for the config check to name."""
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
-        raise ConfigError(f"--b: expected a number or ratio:<x>, got {raw!r}") from None
-    if value <= 0:
-        raise ConfigError("--b: scale must be positive")
-    return value
+        return raw
+
+
+def _explicit_times(raw: str, t: float) -> tuple[float, ...]:
+    try:
+        times = tuple(float(s) for s in raw.split(","))
+    except ValueError:
+        raise ConfigError(f"times: expected comma-separated numbers, got {raw!r}") from None
+    if times[0] <= t or any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"times: must be strictly increasing and after t = {t!r}")
+    return times
+
+
+def _price_config(args) -> tuple[dict, tuple[float, ...] | None]:
+    """The one-cell pricing config that the ``price`` flags describe, and the ``--times`` grid."""
+    model = {"kind": args.model, "b0": args.b0, "b1": args.b1, "sigma0": args.sigma0}
+    if args.nig is not None:
+        model["nig"] = dict(zip(("alpha", "beta", "mu", "delta"), args.nig))
+    ratio = args.b.removeprefix("ratio:")
+    cfg = {
+        "experiment": "price", "model": model, "t": args.t, "y0": args.y0,
+        "rate": args.rate, "m_values": [args.m], "strikes": [args.strike],
+        "scales" if ratio == args.b else "scale_ratios": [_flag_number(ratio)],
+        "a_policy": _flag_number(args.a),
+        "max_order": args.max_order if args.auto_n else args.order,
+        "seed": args.seed,
+    }
+    if args.mc_check:
+        cfg["mc"] = {"paths": args.mc_paths, "batches": args.mc_batches, "refine": args.mc_refine}
+    times = None
+    if args.times:
+        times = _explicit_times(args.times, args.t)
+        cfg.update(maturity=times[-1], m_values=[len(times) - 1])
+    elif args.maturity is not None:
+        cfg["maturity"] = args.maturity
+    return cfg, times
 
 
 def cmd_price(args) -> int:
-    model_cfg = {
-        "kind": args.model,
-        "b0": args.b0,
-        "b1": args.b1,
-        "sigma0": args.sigma0,
-    }
-    if args.model == "jd":
-        if args.nig is None:
-            raise ConfigError("model.nig: --nig ALPHA BETA MU DELTA is required for jd")
-        model_cfg["nig"] = dict(zip(("alpha", "beta", "mu", "delta"), args.nig))
-    model = parse_model(model_cfg)
-    if args.times:
-        try:
-            times = tuple(float(s) for s in args.times.split(","))
-        except ValueError:
-            raise ConfigError(f"--times: expected comma-separated numbers, got {args.times!r}") from None
-    else:
-        if args.maturity is None:
-            raise ConfigError("--maturity: required unless --times is given")
-        times = _uniform_times(args.t, args.maturity, args.m)
+    cfg, times = _price_config(args)
+    exp = parse_pricing(cfg)
+    model, m = exp.model, exp.m_values[0]
+    times = times or _uniform_times(exp.t, exp.maturity, m)
     engine = CorrelatorEngine(model)
-    if args.a == "mean":
-        drift = default_drift(model, args.t, args.y0, times)
-    else:
-        try:
-            drift = float(args.a)
-        except ValueError:
-            raise ConfigError(f"--a: expected 'mean' or a number, got {args.a!r}") from None
-    floor = None
-    try:
-        floor = scale_floor(average_std(model, args.t, args.y0, times, engine=engine))
-    except ValueError:
-        pass
-    scale = _parse_scale(args.b, floor)
-
-    m = len(times) - 1
+    drift, _, (scale,) = _resolve(exp, engine, times)
     order_cap = max_order(model) // (m + 1)
 
     def price_at(order: int):
         basis = GhpBasis(drift=drift, scale=scale, order=order)
         request = PriceRequest(
-            strike=args.strike, rate=args.rate, t=args.t, times=times,
-            basis=basis, model=model, y_t=args.y0,
+            strike=exp.strikes[0], rate=exp.rate, t=exp.t, times=times,
+            basis=basis, model=model, y_t=exp.y0,
         )
         return request, _price_report(request, engine)
 
     if args.auto_n:
-        order = min(20, order_cap)
+        order = min(20, exp.max_order, order_cap)
         request, report = price_at(order)
         decision = stopping_criterion(report, args.threshold)
-        while not decision.converged and order < min(args.max_order, order_cap):
-            grown = min(order + 20, args.max_order)
+        while not decision.converged and order < min(exp.max_order, order_cap):
+            grown = min(order + 20, exp.max_order)
             if grown > order_cap:
-                grown = _capped_order(model, m, args.max_order, "auto-N: ")
+                grown = _capped_order(model, m, exp.max_order, "auto-N: ")
             try:
                 request, report = price_at(grown)
             except NumericalError as exc:
@@ -546,7 +515,7 @@ def cmd_price(args) -> int:
             order = grown
             decision = stopping_criterion(report, args.threshold)
     else:
-        request, report = price_at(_capped_order(model, m, args.order))
+        request, report = price_at(_capped_order(model, m, exp.max_order))
         decision = stopping_criterion(report, args.threshold)
 
     print(f"model: {_model_label(model)}  times: {', '.join(repr(s) for s in times)}")
@@ -561,10 +530,8 @@ def cmd_price(args) -> int:
         print(f"delta: {delta(request, engine=engine)!r}")
         for j in range(m + 1):
             print(f"theta[{j}]: {theta(request, j, engine=engine)!r}")
-    if args.mc_check:
-        cfg = McConfig(paths=args.mc_paths, batches=args.mc_batches,
-                       seed=args.seed, refine=args.mc_refine)
-        estimate = mc_price(model, request, cfg)
+    if exp.mc is not None:
+        estimate = mc_price(model, request, _mc_config(exp.mc, exp.seed))
         inside = estimate.contains(price)
         print(
             f"mc: mean={estimate.mean!r} ci95=({estimate.ci95[0]!r}, {estimate.ci95[1]!r}) "

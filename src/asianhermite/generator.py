@@ -178,12 +178,12 @@ def max_order(spec: ModelSpec) -> int:
     return len(c) - 1
 
 
-def levy_moments(params: NigParams, n_max: int, validate: bool = True) -> LevyMoments:
+def levy_moments(params: NigParams, n_max: int) -> LevyMoments:
     """Jump-measure moments up to ``n_max`` from the NIG cumulants.
 
-    The cumulant table is computed once per parameter set and sliced.  With
-    ``validate`` (the default) its low orders are cross-checked against
-    adaptive quadrature of the Levy density, also once per parameter set.
+    The cumulant table is computed once per parameter set and sliced.  Its
+    low orders are cross-checked against adaptive quadrature of the Levy
+    density, also once per parameter set.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -195,8 +195,7 @@ def levy_moments(params: NigParams, n_max: int, validate: bool = True) -> LevyMo
             f"jump moment m={c.size} overflows double precision; these "
             f"parameters have finite moments up to order {c.size - 1} only"
         )
-    if validate:
-        _validate_levy_table(params)
+    _validate_levy_table(params)
     return LevyMoments(params=params, c=c[: n_max + 1])
 
 

@@ -25,24 +25,18 @@ import numpy as np
 from .generator import ModelSpec
 from .pricing import PriceRequest
 
-_SCHEMES = ("auto", "exact-ou", "euler-jump")
-
-
 @dataclass(frozen=True)
 class McConfig:
-    """Path counts, batching, seed and discretization scheme."""
+    """Path counts, batching, seed and Euler refinement of jump models."""
 
     paths: int = 20_000
     batches: int = 100
     seed: int = 0
-    scheme: str = "auto"
     refine: int = 100  # euler substeps per monitoring interval
 
     def __post_init__(self):
         if self.paths < 1 or self.batches < 1:
             raise ValueError("paths and batches must be positive")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}")
         if self.refine < 1:
             raise ValueError("refine must be positive")
 
@@ -57,14 +51,6 @@ class McEstimate:
 
     def contains(self, value: float) -> bool:
         return self.ci95[0] <= value <= self.ci95[1]
-
-
-def _resolve_scheme(spec: ModelSpec, scheme: str) -> str:
-    if scheme == "auto":
-        return "exact-ou" if spec.jumps is None else "euler-jump"
-    if scheme == "exact-ou" and spec.jumps is not None:
-        raise ValueError("exact transition sampling is only available without jumps")
-    return scheme
 
 
 def _ou_step(spec: ModelSpec, y: np.ndarray, tau: float, rng: np.random.Generator) -> np.ndarray:
@@ -158,7 +144,7 @@ def simulate_paths(
     times = tuple(float(s) for s in times)
     if times[0] <= t or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("sampling times must be strictly increasing and after t")
-    scheme = _resolve_scheme(spec, cfg.scheme)
+    scheme = "exact-ou" if spec.jumps is None else "euler-jump"
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     return _simulate(spec, t, y_t, times, cfg.paths, scheme, cfg.refine, rng)
 
@@ -180,7 +166,7 @@ def mc_price(spec: ModelSpec, request: PriceRequest, cfg: McConfig) -> McEstimat
     """
     if request.model != spec:
         raise ValueError("request was built for a different model")
-    scheme = _resolve_scheme(spec, cfg.scheme)
+    scheme = "exact-ou" if spec.jumps is None else "euler-jump"
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
 
     def batch_mean(stream: np.random.SeedSequence) -> float:

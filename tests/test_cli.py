@@ -57,6 +57,16 @@ class TestPriceCommand:
         assert code == 0
         assert "converged=True" in out
 
+    def test_auto_order_starts_within_max_order(self, capsys):
+        # --max-order fills max_order, so growth never starts above it
+        code = main([
+            "price", "--model", "ou", "--b0", "-0.02", "--b1", "0.01",
+            "--sigma0", "0.98", "--y0", "2", "--maturity", "2",
+            "--m", "0", "--strike", "2", "--auto-n", "--max-order", "10", "--threshold", "9",
+        ])
+        assert code == 0
+        assert "order=10" in capsys.readouterr().out
+
     def test_auto_order_capped_for_jump_model(self, capsys):
         # the fig8 jump moments leave double range: the order grows no
         # further than the model's limit, and an order whose exponential
@@ -256,6 +266,91 @@ class TestRunCommand:
         assert b > 0.0
         law_like = {float(r["b"]) for r in rows}
         assert len(law_like) == 1
+
+
+PRICE_FLAGS = [
+    "price", "--model", "ou", "--b0", "-0.02", "--b1", "0.01", "--sigma0", "0.98",
+    "--y0", "2", "--maturity", "2", "--strike", "2",
+]
+PAYOFF = {"experiment": "p", "kind": "payoff-approximation", "strike": 1.0, "scales": [1.0],
+          "orders": [4], "x_grid": {"lo": 0.0, "hi": 2.0, "points": 3}}
+SERIES_ERROR = {"experiment": "e", "kind": "series-error", "strike": 1.0, "scales": [1.0],
+                "max_order": 2}
+PRICING = {"experiment": "q", "model": {"kind": "ou", "b0": -0.02, "b1": 0.01, "sigma0": 0.98},
+           "y0": 2.0, "maturity": 2.0, "strikes": [2.0], "scales": [1.5], "max_order": 4}
+
+# (extra price flags, field the error names); a repeated flag's last value wins
+BAD_FLAGS = [
+    (["--order", "-3"], "max_order"),
+    (["--order", "0"], "max_order"),
+    (["--m", "-1"], "m_values[0]"),
+    (["--strike", "-1"], "strikes[0]"),
+    (["--rate", "-0.1"], "rate"),
+    (["--mc-check", "--mc-paths", "0"], "mc.paths"),
+    (["--times", "1,0.5"], "times"),
+    (["--b0", "0", "--sigma0", "0", "--b", "ratio:2"], "scale_ratios"),
+]
+
+# (config, fields to replace, field the error names)
+BAD_CONFIGS = [
+    pytest.param(PAYOFF, {"orders": [4.5]}, "orders[0]", id="payoff-order-float"),
+    pytest.param(PAYOFF, {"x_grid": {"points": "many"}}, "x_grid.points", id="payoff-points-text"),
+    pytest.param(PAYOFF, {"scales": [-1.0]}, "scales", id="payoff-scale-negative"),
+    pytest.param(SERIES_ERROR, {"max_order": "30"}, "max_order", id="error-order-text"),
+    pytest.param(SERIES_ERROR, {"scales": [-1.0]}, "scales", id="error-scale-negative"),
+    pytest.param(SERIES_ERROR, {"max_order": 170}, "max_order", id="error-order-past-tail"),
+    pytest.param(PRICING, {"m_values": [True]}, "m_values[0]", id="pricing-m-bool"),
+    pytest.param(PRICING, {"scales": None, "scale_ratios": [2.0],
+                           "model": {"kind": "ou", "b0": -0.02, "b1": 0.01, "sigma0": 0.0}},
+                 "scale_ratios", id="pricing-ratio-zero-variance"),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("flags, field", BAD_FLAGS, ids=[" ".join(f) for f, _ in BAD_FLAGS])
+    def test_price_flag(self, flags, field, capsys):
+        code = main(PRICE_FLAGS + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"configuration error: {field}: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("base, changes, field", BAD_CONFIGS)
+    def test_run_config(self, base, changes, field, tmp_path, capsys):
+        cfg = {key: value for key, value in {**base, **changes}.items() if value is not None}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"configuration error: {field}: ")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"experiment": '], ids=["list", "truncated"])
+    def test_config_file_not_a_json_object(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["run", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"configuration error: {path}: ")
+
+    def test_price_equals_run_cell(self, tmp_path, capsys):
+        # price and run resolve one cell through the same config, so the
+        # quote is the row the stopping rule marks
+        cfg = tiny_config(tmp_path, m_values=[1], strikes=[2.0], scale_ratios=[1.5],
+                          scales=None, max_order=12)
+        data = {k: v for k, v in json.loads(cfg.read_text()).items() if v is not None}
+        cfg.write_text(json.dumps(data))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        stopped = [r for r in read_rows(tmp_path / "tiny.csv") if r["stopped"] == "true"]
+        capsys.readouterr()
+        assert main(PRICE_FLAGS + ["--m", "1", "--b", "ratio:1.5", "--order", "12"]) == 0
+        out = capsys.readouterr().out
+        assert f"b={stopped[0]['b']} " in out
+        assert f"price: {stopped[0]['price']}  (chosen N={stopped[0]['N']}," in out
 
 
 class TestPresets:

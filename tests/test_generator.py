@@ -133,10 +133,10 @@ class TestLevyMoments:
         # at unit steepness the moments grow factorially; far enough out
         # they leave double range and must fail loudly, not as inf/nan
         with pytest.raises(NumericalError):
-            levy_moments(NIG_REF, 200, validate=False)
+            levy_moments(NIG_REF, 200)
         # a steep measure keeps them representable through the cap
         steep = NigParams(alpha=30.0, beta=0.0, mu=0.0, delta=0.05)
-        c = levy_moments(steep, 200, validate=False).c
+        c = levy_moments(steep, 200).c
         assert np.all(np.isfinite(c))
 
 
@@ -145,9 +145,9 @@ class TestOrderLimit:
         # the cumulants of alpha = 1, delta = 0.05 are finite up to order
         # 173; C(173, 172) c_172 already overflows, so the generator stops
         # one order earlier
-        assert levy_moments(NIG_REF, 173, validate=False).c.size == 174
+        assert levy_moments(NIG_REF, 173).c.size == 174
         with pytest.raises(NumericalError, match="up to order 173"):
-            levy_moments(NIG_REF, 174, validate=False)
+            levy_moments(NIG_REF, 174)
         spec = ModelSpec(-0.02, 0.01, 0.49, NIG_REF)
         assert max_order(spec) == 172
         assert np.all(np.isfinite(generator_matrix(spec, 172).matrix))

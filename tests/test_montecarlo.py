@@ -29,8 +29,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(paths=0)
         with pytest.raises(ValueError):
-            McConfig(scheme="magic")
-        with pytest.raises(ValueError):
             McConfig(refine=0)
 
 
@@ -99,10 +97,6 @@ class TestSimulatePaths:
         got = simulate_paths(spec, 0.0, 2.0, times, cfg)
         assert np.array_equal(got, expected)
 
-    def test_exact_scheme_rejected_for_jumps(self, jd_model):
-        with pytest.raises(ValueError):
-            simulate_paths(jd_model, 0.0, 2.0, (1.0,), McConfig(paths=10, batches=1, scheme="exact-ou"))
-
 
 def _expression_form_euler(spec, y, t0, t1, substeps, rng):
     """The jump model's Euler step as one expression per term, kept as a reference."""
@@ -149,7 +143,7 @@ class TestMcPrice:
         spec = ou_model if scheme == "exact-ou" else jd_model
         basis = GhpBasis(drift=2.0, scale=1.5, order=2)
         req = PriceRequest(2.0, 0.03, 0.0, (1.0, 2.0), basis, spec, 2.0)
-        cfg = McConfig(paths=400, batches=5, seed=17, scheme=scheme, refine=7)
+        cfg = McConfig(paths=400, batches=5, seed=17, refine=7)
         est = mc_price(spec, req, cfg)
         mean, std_error = _serial_mc(spec, req, cfg, scheme)
         assert est.mean == mean
