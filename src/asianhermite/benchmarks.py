@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import erfc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .generator import ModelSpec
@@ -27,6 +26,9 @@ def std_normal(x):
     which keeps full precision deep in both tails.  Accepts scalars or
     arrays and returns ``(pdf, cdf)`` of matching shape.
     """
+    # deferred: the Monte Carlo path never needs scipy.special
+    from scipy.special import erfc
+
     x = np.asarray(x, dtype=float)
     pdf = np.exp(-0.5 * x * x) / _SQRT_TWO_PI
     cdf = 0.5 * erfc(-x / _SQRT2)

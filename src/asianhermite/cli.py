@@ -224,7 +224,8 @@ def parse_pricing(cfg: dict) -> PricingExperiment:
             raise ConfigError("mc: expected an object or null")
         for key in ("paths", "batches", "refine"):
             if key in mc:
-                _int(mc[key], f"mc.{key}", 1)
+                # a batch-means error needs at least two batches
+                _int(mc[key], f"mc.{key}", 2 if key == "batches" else 1)
     rate = _num(cfg.get("rate", 0.0), "rate")
     if rate < 0:
         raise ConfigError("rate: must be non-negative")
@@ -483,6 +484,8 @@ def _price_config(args) -> tuple[dict, tuple[float, ...] | None]:
 def cmd_price(args) -> int:
     cfg, times = _price_config(args)
     exp = parse_pricing(cfg)
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise ConfigError(f"threshold: must be finite and positive, got {args.threshold!r}")
     model, m = exp.model, exp.m_values[0]
     times = times or _uniform_times(exp.t, exp.maturity, m)
     engine = CorrelatorEngine(model)

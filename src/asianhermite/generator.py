@@ -14,8 +14,6 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-import scipy.linalg
-from scipy.special import kve
 
 # Largest generator order of any model; jump models whose binomial-weighted
 # moments overflow earlier have a lower limit, see ``max_order``.
@@ -110,16 +108,20 @@ def _nig_cumulants(params: NigParams) -> np.ndarray:
     return c
 
 
-def _nig_levy_density(params: NigParams, z: float) -> float:
-    # exp(beta z) alone overflows for large |z|; fold it into the scaled
-    # Bessel function, whose combined exponent beta*z - alpha*|z| is <= 0
-    a, b, d = params.alpha, params.beta, params.delta
-    return d * a / math.pi * math.exp(b * z - a * abs(z)) * kve(1, a * abs(z)) / abs(z)
-
-
-def _density_integral(f) -> float:
-    # deferred: scipy.integrate is only needed when moments are validated
+def _density_integral(params: NigParams, weight) -> float:
+    """``weight(z)`` integrated against the NIG Levy density over the real line."""
+    # deferred: scipy.integrate and scipy.special are only needed when
+    # moments are validated
     from scipy.integrate import quad
+    from scipy.special import kve
+
+    a, b, d = params.alpha, params.beta, params.delta
+
+    def f(z):
+        # exp(beta z) alone overflows for large |z|; fold it into the scaled
+        # Bessel function, whose combined exponent beta*z - alpha*|z| is <= 0
+        density = d * a / math.pi * math.exp(b * z - a * abs(z)) * kve(1, a * abs(z)) / abs(z)
+        return weight(z) * density
 
     pos, _ = quad(f, 0.0, np.inf, limit=200)
     neg, _ = quad(f, -np.inf, 0.0, limit=200)
@@ -130,11 +132,11 @@ def levy_moment_quadrature(params: NigParams, m: int) -> float:
     """Adaptive quadrature of ``z^m`` against the NIG Levy density (m >= 2)."""
     if m < 2:
         raise ValueError("Levy moments are defined for m >= 2 only")
-    return _density_integral(lambda z: z**m * _nig_levy_density(params, z))
+    return _density_integral(params, lambda z: z**m)
 
 
 def _levy_abs_moment_quadrature(params: NigParams, m: int) -> float:
-    return _density_integral(lambda z: abs(z) ** m * _nig_levy_density(params, z))
+    return _density_integral(params, lambda z: abs(z) ** m)
 
 
 @lru_cache(maxsize=None)
@@ -247,6 +249,9 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
+    # deferred: the Monte Carlo path never needs scipy.linalg
+    import scipy.linalg
+
     out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out)):
         raise NumericalError(

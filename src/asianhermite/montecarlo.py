@@ -162,10 +162,13 @@ def mc_price(spec: ModelSpec, request: PriceRequest, cfg: McConfig) -> McEstimat
     run concurrently on a thread pool of ``min(batches, usable CPUs)``
     workers (numpy's draws and ufuncs release the GIL) and the estimate is
     bit-identical to running them one after another.  The standard error
-    comes from the dispersion of batch means.
+    comes from the dispersion of batch means, so at least two batches are
+    needed.
     """
     if request.model != spec:
         raise ValueError("request was built for a different model")
+    if cfg.batches < 2:
+        raise ValueError("a batch-means error needs at least two batches")
     scheme = "exact-ou" if spec.jumps is None else "euler-jump"
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
 
@@ -180,9 +183,6 @@ def mc_price(spec: ModelSpec, request: PriceRequest, cfg: McConfig) -> McEstimat
     with ThreadPoolExecutor(max_workers=min(cfg.batches, _usable_cpus())) as pool:
         means = np.fromiter(pool.map(batch_mean, streams), dtype=float, count=cfg.batches)
     mean = float(means.mean())
-    if cfg.batches > 1:
-        std_error = float(means.std(ddof=1) / math.sqrt(cfg.batches))
-    else:
-        std_error = 0.0
+    std_error = float(means.std(ddof=1) / math.sqrt(cfg.batches))
     half = 1.96 * std_error
     return McEstimate(mean=mean, std_error=std_error, ci95=(mean - half, mean + half))

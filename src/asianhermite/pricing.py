@@ -160,6 +160,8 @@ def stopping_criterion(report: PriceReport, threshold: float = STOPPING_THRESHOL
     ``converged=False``; with no crossing at all the last order is
     reported, also unconverged.
     """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
     partial = report.price_by_N
     n_max = partial.size - 1
     if n_max < 1:

@@ -287,6 +287,9 @@ BAD_FLAGS = [
     (["--strike", "-1"], "strikes[0]"),
     (["--rate", "-0.1"], "rate"),
     (["--mc-check", "--mc-paths", "0"], "mc.paths"),
+    (["--order", "10", "--mc-check", "--mc-paths", "2000", "--mc-batches", "1"], "mc.batches"),
+    (["--order", "10", "--threshold", "-3"], "threshold"),
+    (["--order", "10", "--threshold", "nan"], "threshold"),
     (["--times", "1,0.5"], "times"),
     (["--b0", "0", "--sigma0", "0", "--b", "ratio:2"], "scale_ratios"),
 ]
@@ -303,6 +306,7 @@ BAD_CONFIGS = [
     pytest.param(PRICING, {"scales": None, "scale_ratios": [2.0],
                            "model": {"kind": "ou", "b0": -0.02, "b1": 0.01, "sigma0": 0.0}},
                  "scale_ratios", id="pricing-ratio-zero-variance"),
+    pytest.param(PRICING, {"mc": {"batches": 1}}, "mc.batches", id="pricing-one-mc-batch"),
 ]
 
 

@@ -230,11 +230,43 @@ class TestOrderLimit:
             "assert 'scipy.integrate' in sys.modules\n"
             "assert calls == [2, 3, 4, 5, 6], calls\n"
         )
-        src = os.path.dirname(os.path.dirname(asianhermite.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        _run_fresh(script)
+
+    def test_scipy_loads_only_where_called(self):
+        # the package, the CLI and Monte Carlo load no SciPy; the series
+        # loads scipy.linalg and scipy.special, and only a jump model's
+        # moment check loads scipy.integrate
+        script = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import asianhermite as ah\n"
+            "import asianhermite.cli\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "ou = ah.ModelSpec(-0.02, 0.01, 0.98)\n"
+            "jd = ah.ModelSpec(-0.02, 0.01, 0.49, ah.NigParams(1.0, 0.0, 0.0, 0.05))\n"
+            "basis = ah.GhpBasis(drift=2.0, scale=1.5, order=10)\n"
+            "for spec in (ou, jd):\n"
+            "    req = ah.PriceRequest(2.0, 0.0, 0.0, (1.0, 2.0), basis, spec, 2.0)\n"
+            "    ah.mc_price(spec, req, ah.McConfig(paths=200, batches=2, refine=2))\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "ah.european_price(ah.PriceRequest(2.0, 0.0, 0.0, (2.0,), basis, ou, 2.0))\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "ah.generator_matrix(jd, 8)\n"
+            "assert 'scipy.integrate' in sys.modules\n"
+        )
+        _run_fresh(script)
+
+
+def _run_fresh(script: str) -> None:
+    """Run ``script`` in a new interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(asianhermite.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestGeneratorMatrix:

@@ -206,6 +206,13 @@ class TestMcPrice:
         with pytest.raises(ValueError):
             mc_price(ou_model, req, McConfig(paths=10, batches=2))
 
+    def test_one_batch_rejected(self, ou_model):
+        # one batch mean has no dispersion, so it gives no error estimate
+        basis = GhpBasis(drift=0.0, scale=1.0, order=2)
+        req = PriceRequest(1.0, 0.0, 0.0, (1.0,), basis, ou_model, 0.0)
+        with pytest.raises(ValueError, match="two batches"):
+            mc_price(ou_model, req, McConfig(paths=10, batches=1))
+
 
 def fourier_call_price(spec, t, y0, maturity, strike, damping=0.5):
     """Independent benchmark: damped Fourier integration of the payoff.

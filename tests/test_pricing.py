@@ -268,6 +268,11 @@ class TestStoppingCriterion:
         report = european_price(req)
         assert not report.converged
 
+    @pytest.mark.parametrize("threshold", [-3.0, 0.0, math.nan, math.inf])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            stopping_criterion(report_from([1.0, 0.999, 0.9990499]), threshold)
+
     def test_needs_two_partial_sums(self):
         with pytest.raises(ValueError):
             stopping_criterion(report_from([1.0]))
