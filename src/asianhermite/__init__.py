@@ -1,7 +1,12 @@
-"""Hermite-series pricing of arithmetic Asian options under polynomial jump-diffusions."""
+"""Hermite-series pricing of arithmetic Asian options under polynomial jump-diffusions.
+
+The paper's selector calculus (``vec``, ``vecl``, the eliminating and
+duplicating selectors and ``mth_selectors``) is importable from
+:mod:`asianhermite.kronecker`; the multinomial expansion from
+:mod:`asianhermite.pricing`.
+"""
 
 from .benchmarks import (
-    ErrorBoundInputs,
     GaussianLaw,
     accuracy_gamma,
     error_constant,
@@ -18,8 +23,6 @@ from .correlators import (
     correlator_tower_oracle,
 )
 from .generator import (
-    GeneratorMatrix,
-    LevyMoments,
     ModelSpec,
     NigParams,
     NumericalError,
@@ -31,7 +34,6 @@ from .generator import (
     moment_vector,
 )
 from .hermite import (
-    ChangeOfBasis,
     GhpBasis,
     PayoffExpansion,
     change_of_basis,
@@ -42,21 +44,8 @@ from .hermite import (
     payoff_l2_error,
     payoff_series_eval,
 )
-from .kronecker import (
-    DuplicatingMatrix,
-    EliminatingMatrix,
-    MthSelector,
-    duplicating,
-    eliminating,
-    kron,
-    mth_selectors,
-    vec,
-    vec_inverse,
-    vecl,
-)
 from .montecarlo import McConfig, McEstimate, mc_price, simulate_paths
 from .pricing import (
-    MultiIndexTerm,
     PriceReport,
     PriceRequest,
     StoppingDecision,
@@ -65,7 +54,6 @@ from .pricing import (
     default_drift,
     delta,
     european_price,
-    multinomial_expand,
     stopping_criterion,
     theta,
 )
@@ -73,21 +61,13 @@ from .pricing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChangeOfBasis",
     "CorrelatorEngine",
     "CorrelatorQuery",
-    "DuplicatingMatrix",
-    "EliminatingMatrix",
-    "ErrorBoundInputs",
     "GaussianLaw",
-    "GeneratorMatrix",
     "GhpBasis",
-    "LevyMoments",
     "McConfig",
     "McEstimate",
     "ModelSpec",
-    "MthSelector",
-    "MultiIndexTerm",
     "NigParams",
     "NumericalError",
     "PayoffExpansion",
@@ -103,8 +83,6 @@ __all__ = [
     "correlator_tower_oracle",
     "default_drift",
     "delta",
-    "duplicating",
-    "eliminating",
     "error_constant",
     "european_price",
     "gaussian_call",
@@ -112,15 +90,12 @@ __all__ = [
     "ghp_eval",
     "ghp_norm_sq",
     "hermite_eval",
-    "kron",
     "levy_moments",
     "matrix_exponential",
     "max_order",
     "mc_price",
     "moment",
     "moment_vector",
-    "mth_selectors",
-    "multinomial_expand",
     "ou_asian_law",
     "payoff_coefficients",
     "payoff_l2_error",
@@ -130,7 +105,4 @@ __all__ = [
     "std_normal",
     "stopping_criterion",
     "theta",
-    "vec",
-    "vec_inverse",
-    "vecl",
 ]

@@ -99,22 +99,14 @@ def ou_asian_law(spec: "ModelSpec", t: float, y_t: float, times) -> GaussianLaw:
     return GaussianLaw(mean=mean, std=math.sqrt(var))
 
 
-@dataclass(frozen=True)
-class ErrorBoundInputs:
-    """Basis and Gaussian law entering the price error bound."""
-
-    basis: "GhpBasis"
-    law: GaussianLaw
-
-
-def error_constant(inp: ErrorBoundInputs) -> float:
+def error_constant(basis: "GhpBasis", law: GaussianLaw) -> float:
     """Cauchy-Schwarz constant bounding price error by payoff series error.
 
     Finite only above the scale floor ``std / sqrt(2)``; at or below it the
     defining integral diverges and a ``ValueError`` is raised.
     """
-    a, b = inp.basis.drift, inp.basis.scale
-    mu, sigma = inp.law.mean, inp.law.std
+    a, b = basis.drift, basis.scale
+    mu, sigma = law.mean, law.std
     if b <= scale_floor(sigma):
         raise ValueError(
             f"scale {b} is at or below the floor {scale_floor(sigma)}; "

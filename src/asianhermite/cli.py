@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from math import comb
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .hermite import (
 )
 from .montecarlo import McConfig, mc_price
 from .pricing import (
+    DEFAULT_TERM_CAP,
     PriceRequest,
     asian_price,
     average_std,
@@ -262,14 +264,33 @@ def _resolve(exp: PricingExperiment, engine: CorrelatorEngine, times):
     return drift, law, tuple(r * floor for r in exp.scale_ratios)
 
 
-def _capped_order(model: ModelSpec, m: int, requested: int, prefix: str = "") -> int:
-    """``requested``, lowered to ``max_order(model) // (m + 1)`` with a line on stderr."""
+def _order_cap(model: ModelSpec, m: int) -> tuple[int, str]:
+    """Highest series order for ``m + 1`` sampling times, and the limit that sets it.
+
+    The generator of a correlator chain has order ``N (m + 1)``, so
+    ``max_order(model) // (m + 1)`` bounds ``N``; the moment of order ``N``
+    also expands into ``C(N + m, m)`` multinomial terms, at most
+    ``DEFAULT_TERM_CAP``.
+    """
     limit = max_order(model)
     cap = limit // (m + 1)
+    terms = 0
+    while terms < cap and comb(terms + 1 + m, m) <= DEFAULT_TERM_CAP:
+        terms += 1
+    if terms < cap:
+        count = comb(terms + 1 + m, m)
+        return terms, (f"the multinomial term cap: order {terms + 1} needs "
+                       f"C({terms + 1 + m}, {m}) = {count} terms, above "
+                       f"DEFAULT_TERM_CAP = {DEFAULT_TERM_CAP}")
+    return cap, f"max_order(model) // (m + 1) = {limit} // {m + 1}"
+
+
+def _capped_order(model: ModelSpec, m: int, requested: int, prefix: str = "") -> int:
+    """``requested``, lowered to :func:`_order_cap` with a line on stderr."""
+    cap, limit = _order_cap(model, m)
     if requested <= cap:
         return requested
-    print(f"{prefix}order capped at {cap}; order {requested} exceeds "
-          f"max_order(model) // (m + 1) = {limit} // {m + 1}", file=sys.stderr)
+    print(f"{prefix}order capped at {cap}; order {requested} exceeds {limit}", file=sys.stderr)
     return cap
 
 
@@ -490,7 +511,7 @@ def cmd_price(args) -> int:
     times = times or _uniform_times(exp.t, exp.maturity, m)
     engine = CorrelatorEngine(model)
     drift, _, (scale,) = _resolve(exp, engine, times)
-    order_cap = max_order(model) // (m + 1)
+    order_cap, _ = _order_cap(model, m)
 
     def price_at(order: int):
         basis = GhpBasis(drift=drift, scale=scale, order=order)

@@ -92,7 +92,7 @@ class CorrelatorEngine:
     def _generator(self, order: int) -> np.ndarray:
         g = self._generators.get(order)
         if g is None:
-            g = self._generators[order] = generator_matrix(self.model, order).matrix
+            g = self._generators[order] = generator_matrix(self.model, order)
         return g
 
     def _propagator(self, order: int, dt: float) -> np.ndarray:
@@ -189,7 +189,7 @@ def correlator_kronecker_reference(spec: ModelSpec, query: CorrelatorQuery) -> f
     v = reduce(np.kron, [_monomials(query.y_t, n)] * (query.m + 1))
     for j, k in enumerate(query.powers):
         rank = query.m - j
-        p = matrix_exponential(generator_matrix(spec, n * (rank + 1)).matrix * steps[j])
+        p = matrix_exponential(generator_matrix(spec, n * (rank + 1)) * steps[j])
         if rank == 0:
             v = p @ v
         else:
@@ -218,7 +218,7 @@ def correlator_tower_oracle(spec: ModelSpec, query: CorrelatorQuery) -> float:
     coeffs = np.zeros(degree + 1)
     coeffs[degree] = 1.0
     for j in range(query.m, -1, -1):
-        g = generator_matrix(spec, degree).matrix
+        g = generator_matrix(spec, degree)
         coeffs = matrix_exponential(g * (grid[j + 1] - grid[j])).T @ coeffs
         if j > 0:
             shift = query.powers[j - 1]

@@ -9,7 +9,7 @@ conditional moments come from one matrix exponential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -58,14 +58,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.diff_sq < 0:
             raise ValueError("squared diffusion coefficient must be non-negative")
-
-
-@dataclass(frozen=True)
-class LevyMoments:
-    """Jump-measure moments ``c[m] = integral of z^m against the Levy measure``."""
-
-    params: NigParams
-    c: np.ndarray = field(repr=False)
 
 
 # the table ends at the first overflow, so numpy's warnings about it are noise
@@ -180,11 +172,12 @@ def max_order(spec: ModelSpec) -> int:
     return len(c) - 1
 
 
-def levy_moments(params: NigParams, n_max: int) -> LevyMoments:
-    """Jump-measure moments up to ``n_max`` from the NIG cumulants.
+def levy_moments(params: NigParams, n_max: int) -> np.ndarray:
+    """Jump-measure moments ``c[0..n_max]`` from the NIG cumulants, read-only.
 
-    The cumulant table is computed once per parameter set and sliced.  Its
-    low orders are cross-checked against adaptive quadrature of the Levy
+    ``c[m]`` is the integral of ``z^m`` against the Levy measure.  The
+    cumulant table is computed once per parameter set and sliced.  Its low
+    orders are cross-checked against adaptive quadrature of the Levy
     density, also once per parameter set.
     """
     if n_max < 2:
@@ -198,23 +191,16 @@ def levy_moments(params: NigParams, n_max: int) -> LevyMoments:
             f"parameters have finite moments up to order {c.size - 1} only"
         )
     _validate_levy_table(params)
-    return LevyMoments(params=params, c=c[: n_max + 1])
+    return c[: n_max + 1]
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Matrix form of the generator acting on the monomial basis ``(1, x, .., x^n)``."""
+def generator_matrix(spec: ModelSpec, n: int) -> np.ndarray:
+    """Generator matrix of order ``n`` on the monomials ``(1, x, .., x^n)``, read-only.
 
-    n: int
-    matrix: np.ndarray = field(repr=False)
-
-
-def generator_matrix(spec: ModelSpec, n: int) -> GeneratorMatrix:
-    """Generator matrix of order ``n``: row ``k`` holds the coefficients of ``G x^k``.
-
-    ``G x^k = (b0 + b1 x) k x^(k-1) + sigma0/2 k(k-1) x^(k-2)
-    + sum_{j=2..k} C(k, j) c_j x^(k-j)`` by binomial expansion of the jump
-    integral; the matrix is lower triangular with ``k b1`` on the diagonal.
+    Row ``k`` holds the coefficients of ``G x^k = (b0 + b1 x) k x^(k-1)
+    + sigma0/2 k(k-1) x^(k-2) + sum_{j=2..k} C(k, j) c_j x^(k-j)``, by
+    binomial expansion of the jump integral; the matrix is lower triangular
+    with ``k b1`` on the diagonal.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -224,7 +210,7 @@ def generator_matrix(spec: ModelSpec, n: int) -> GeneratorMatrix:
     g = np.zeros((n + 1, n + 1))
     c = None
     if spec.jumps is not None and n >= 2:
-        c = levy_moments(spec.jumps, n).c
+        c = levy_moments(spec.jumps, n)
     for k in range(1, n + 1):
         g[k, k] += spec.drift_lin * k
         g[k, k - 1] += spec.drift_const * k
@@ -234,7 +220,7 @@ def generator_matrix(spec: ModelSpec, n: int) -> GeneratorMatrix:
                 for j in range(2, k + 1):
                     g[k, k - j] += comb(k, j) * c[j]
     g.setflags(write=False)
-    return GeneratorMatrix(n=n, matrix=g)
+    return g
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
@@ -283,7 +269,7 @@ def moment_vector(spec: ModelSpec, n: int, t: float, horizon: float, y_t: float)
     g = generator_matrix(spec, n)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.power(y_t, np.arange(n + 1, dtype=float))
-        out = matrix_exponential(scale_by_step(g.matrix, horizon - t)) @ powers
+        out = matrix_exponential(scale_by_step(g, horizon - t)) @ powers
     if not np.all(np.isfinite(out)):
         raise NumericalError(
             f"moment vector overflowed at order {n}, horizon {horizon - t}, state {y_t}"

@@ -104,16 +104,12 @@ def ghp_norm_sq(basis: GhpBasis, n: int) -> float:
     return math.exp(log_val)
 
 
-@dataclass(frozen=True)
-class ChangeOfBasis:
-    """Rows hold the monomial coefficients of ``q_0 .. q_N`` (monic, lower-triangular)."""
+def change_of_basis(order: int) -> np.ndarray:
+    """Monomial coefficient matrix ``M`` with ``M @ (1, x, .., x^N) = (q_0(x), .., q_N(x))``.
 
-    order: int
-    matrix: np.ndarray = field(repr=False)
-
-
-def change_of_basis(order: int) -> ChangeOfBasis:
-    """Monomial coefficient matrix ``M`` with ``M @ (1, x, .., x^N) = (q_0(x), .., q_N(x))``."""
+    Row ``n`` holds the coefficients of the monic ``q_n``, so the matrix is
+    lower triangular with a unit diagonal; it is read-only.
+    """
     if order < 0:
         raise ValueError("order must be non-negative")
     if order > MAX_ORDER:
@@ -126,7 +122,7 @@ def change_of_basis(order: int) -> ChangeOfBasis:
         m[n + 1, 1:] += m[n, :-1]
         m[n + 1, :] -= n * m[n - 1, :]
     m.setflags(write=False)
-    return ChangeOfBasis(order=order, matrix=m)
+    return m
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,15 @@ The correlator formulas work on vectors of the form
 The selector matrices built here translate between that redundant
 representation of size ``(n+1)**(m+1)`` and the compressed monomial vector
 ``H_{n(m+1)}(x)`` of size ``n*(m+1)+1``.  Selectors are stored as index
-maps and applied as gather operations; they are never materialized densely
-except on demand for inspection or testing.
+maps and applied as gather operations; they are never materialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # Hard ceiling on the length of any expanded Kronecker vector.  Exceeding it
 # is an error rather than a slow computation: expanded vectors of this size
@@ -50,11 +45,6 @@ def vecl(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a[:, 0], a[-1, 1:]])
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the block layout ``[a_ij * b]``."""
-    return np.kron(np.atleast_2d(a), np.atleast_2d(b))
-
-
 def _eliminating_index(n: int, m: int) -> np.ndarray:
     """vecL position -> vec position for an ``n x m`` matrix."""
     idx = np.empty(n + m - 1, dtype=np.int64)
@@ -69,16 +59,6 @@ def _duplicating_index(n: int, m: int) -> np.ndarray:
     return (v % n) + (v // n)
 
 
-def _selector_matrix(idx: np.ndarray, cols: int) -> sp.csr_matrix:
-    # deferred: only the dense inspection properties need scipy.sparse
-    import scipy.sparse as sp
-
-    rows = idx.size
-    return sp.csr_matrix(
-        (np.ones(rows), (np.arange(rows), idx)), shape=(rows, cols)
-    )
-
-
 @dataclass(frozen=True)
 class EliminatingMatrix:
     """Selector with ``E @ vec(A) = vecL(A)`` for every ``n x m`` matrix ``A``."""
@@ -89,14 +69,6 @@ class EliminatingMatrix:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v)[..., self.idx]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n + self.m - 1, self.n * self.m)
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return _selector_matrix(self.idx, self.n * self.m)
 
 
 @dataclass(frozen=True)
@@ -109,14 +81,6 @@ class DuplicatingMatrix:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v)[..., self.idx]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n * self.m, self.n + self.m - 1)
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return _selector_matrix(self.idx, self.n + self.m - 1)
 
 
 def eliminating(n: int, m: int) -> EliminatingMatrix:
@@ -165,14 +129,6 @@ class MthSelector:
 
     def apply_d(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v)[..., self.d_idx]
-
-    @property
-    def e_matrix(self) -> sp.csr_matrix:
-        return _selector_matrix(self.e_idx, self.expanded_size)
-
-    @property
-    def d_matrix(self) -> sp.csr_matrix:
-        return _selector_matrix(self.d_idx, self.compressed_size)
 
 
 @lru_cache(maxsize=None)

@@ -69,23 +69,22 @@ class PriceRequest:
         return math.exp(-self.rate * (self.maturity - self.t))
 
 
-@dataclass(frozen=True)
-class MultiIndexTerm:
-    """One multi-index of the multinomial expansion with its integer weight."""
-
-    powers: tuple[int, ...]
-    coeff: int
-
-
-def multinomial_expand(total: int, m: int) -> list[MultiIndexTerm]:
-    """All multi-indices ``(k_0..k_m)`` with ``|k| = total`` and their multinomial weights."""
-    if total < 0 or m < 0:
-        raise ValueError("expansion orders must be non-negative")
+def _check_term_count(total: int, m: int) -> None:
     count = comb(total + m, m)
     if count > DEFAULT_TERM_CAP:
         raise ValueError(f"expansion would produce {count} terms, above the cap {DEFAULT_TERM_CAP}")
+
+
+def multinomial_expand(total: int, m: int) -> list[tuple[tuple[int, ...], int]]:
+    """All multi-indices ``(k_0..k_m)`` with ``|k| = total``, as ``(powers, weight)`` pairs.
+
+    The weight is the multinomial coefficient ``total! / (k_0! .. k_m!)``.
+    """
+    if total < 0 or m < 0:
+        raise ValueError("expansion orders must be non-negative")
+    _check_term_count(total, m)
     fact = math.factorial(total)
-    out: list[MultiIndexTerm] = []
+    out: list[tuple[tuple[int, ...], int]] = []
 
     def build(prefix: tuple[int, ...], remaining: int, slots: int):
         if slots == 1:
@@ -93,7 +92,7 @@ def multinomial_expand(total: int, m: int) -> list[MultiIndexTerm]:
             weight = fact
             for kj in k:
                 weight //= math.factorial(kj)
-            out.append(MultiIndexTerm(powers=k, coeff=weight))
+            out.append((k, weight))
             return
         for head in range(remaining + 1):
             build(prefix + (head,), remaining - head, slots - 1)
@@ -216,7 +215,7 @@ def _series_partial_sums(moments: np.ndarray, basis: GhpBasis, strike: float) ->
     times expectation, accumulated in order.
     """
     centered = _recentered_expectations(moments, basis.drift, basis.scale)
-    expect = change_of_basis(basis.order).matrix @ centered
+    expect = change_of_basis(basis.order) @ centered
     return np.cumsum(payoff_coefficients(strike, basis).beta * expect)
 
 
@@ -275,14 +274,17 @@ def _expanded_moments(
     times.  ``mode`` selects the plain value, the derivative in the initial
     state, or the derivative in one sampling time.  Each order is summed on
     its own, so the result for ``i`` does not depend on the other orders.
+    The highest order's term count is checked before the first chain runs.
     """
     m = request.m
+    if orders:
+        _check_term_count(orders[-1], m)
     out = np.empty(len(orders))
     for slot, i in enumerate(orders):
         contributions = []
-        for term in multinomial_expand(i, m):
+        for powers, coeff in multinomial_expand(i, m):
             query = CorrelatorQuery(
-                t=request.t, y_t=request.y_t, times=request.times, powers=term.powers
+                t=request.t, y_t=request.y_t, times=request.times, powers=powers
             )
             if mode == "value":
                 val = engine.correlator(query)
@@ -290,7 +292,7 @@ def _expanded_moments(
                 val = engine.derivative_state(query)
             else:
                 val = engine.derivative_time(query, time_index)
-            contributions.append(term.coeff * val)
+            contributions.append(coeff * val)
         out[slot] = sum(contributions) / float(m + 1) ** i
     return out
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from asianhermite import (
-    ErrorBoundInputs,
     GaussianLaw,
     GhpBasis,
     McConfig,
@@ -134,39 +133,31 @@ class TestOuAsianLaw:
 
 class TestErrorConstant:
     def test_reference_point(self):
-        inp = ErrorBoundInputs(
-            basis=GhpBasis(drift=0.0, scale=1.0, order=4),
-            law=GaussianLaw(mean=0.0, std=1.0),
-        )
-        assert error_constant(inp) ** 2 == pytest.approx(1.0 / SQRT_TWO_PI, rel=1e-14)
-        assert error_constant(inp) == pytest.approx(0.63161877774606470, rel=1e-14)
+        basis = GhpBasis(drift=0.0, scale=1.0, order=4)
+        law = GaussianLaw(mean=0.0, std=1.0)
+        assert error_constant(basis, law) ** 2 == pytest.approx(1.0 / SQRT_TWO_PI, rel=1e-14)
+        assert error_constant(basis, law) == pytest.approx(0.63161877774606470, rel=1e-14)
 
     def test_large_scale_limit(self):
         sigma = 1.3
-        inp = ErrorBoundInputs(
-            basis=GhpBasis(drift=2.0, scale=1e7, order=2),
-            law=GaussianLaw(mean=2.0, std=sigma),
-        )
+        basis = GhpBasis(drift=2.0, scale=1e7, order=2)
+        law = GaussianLaw(mean=2.0, std=sigma)
         limit = (4.0 * math.pi * sigma**2) ** -0.25
-        assert error_constant(inp) == pytest.approx(limit, rel=1e-7)
+        assert error_constant(basis, law) == pytest.approx(limit, rel=1e-7)
 
     def test_below_floor_rejected(self):
         sigma = 1.0
-        inp = ErrorBoundInputs(
-            basis=GhpBasis(drift=0.0, scale=0.9 * sigma / math.sqrt(2), order=2),
-            law=GaussianLaw(mean=0.0, std=sigma),
-        )
+        basis = GhpBasis(drift=0.0, scale=0.9 * sigma / math.sqrt(2), order=2)
+        law = GaussianLaw(mean=0.0, std=sigma)
         with pytest.raises(ValueError):
-            error_constant(inp)
+            error_constant(basis, law)
 
     def test_monotone_decreasing_in_scale_at_centre(self):
         values = []
         for b in np.linspace(0.8, 6.0, 25):
-            inp = ErrorBoundInputs(
-                basis=GhpBasis(drift=1.0, scale=float(b), order=2),
-                law=GaussianLaw(mean=1.0, std=1.0),
-            )
-            values.append(error_constant(inp))
+            basis = GhpBasis(drift=1.0, scale=float(b), order=2)
+            law = GaussianLaw(mean=1.0, std=1.0)
+            values.append(error_constant(basis, law))
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_quadrature_oracle(self):
@@ -174,17 +165,15 @@ class TestErrorConstant:
         from scipy.integrate import quad
 
         a, b, mu, sigma = 0.7, 1.4, 0.2, 1.1
-        inp = ErrorBoundInputs(
-            basis=GhpBasis(drift=a, scale=b, order=2),
-            law=GaussianLaw(mean=mu, std=sigma),
-        )
+        basis = GhpBasis(drift=a, scale=b, order=2)
+        law = GaussianLaw(mean=mu, std=sigma)
 
         def integrand(x):
             density = math.exp(-((x - mu) ** 2) / (2 * sigma**2)) / (sigma * SQRT_TWO_PI)
             return density**2 * math.exp((x - a) ** 2 / (2 * b**2))
 
         val, _ = quad(integrand, -30, 30, limit=300)
-        assert error_constant(inp) == pytest.approx(math.sqrt(val), rel=1e-9)
+        assert error_constant(basis, law) == pytest.approx(math.sqrt(val), rel=1e-9)
 
 
 class TestScaleFloor:

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from asianhermite.cli import PRICING_COLUMNS, load_config, main
+from asianhermite import ModelSpec, NigParams, max_order
+from asianhermite.cli import PRICING_COLUMNS, _capped_order, _order_cap, load_config, main
+from asianhermite.pricing import DEFAULT_TERM_CAP
 
 
 def read_rows(path):
@@ -174,6 +176,38 @@ class TestPriceCommand:
         ])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestOrderCap:
+    OU = ModelSpec(-0.02, 0.01, 0.98)
+    FIG8 = ModelSpec(-0.02, 0.01, 0.49, NigParams(1.0, 0.0, 0.0, 0.05))
+
+    @pytest.mark.parametrize("model, m, cap, binding", [
+        (OU, 0, 200, "max_order"), (OU, 6, 28, "max_order"), (OU, 7, 22, "term cap"),
+        (OU, 11, 12, "term cap"), (FIG8, 7, 21, "max_order"), (FIG8, 8, 18, "term cap"),
+    ], ids=["ou-0", "ou-6", "ou-7", "ou-11", "fig8-7", "fig8-8"])
+    def test_cap_and_its_limit(self, model, m, cap, binding):
+        got, limit = _order_cap(model, m)
+        assert got == cap
+        assert binding in limit
+
+    @pytest.mark.parametrize("model", [OU, FIG8], ids=["ou", "fig8"])
+    def test_cap_is_the_largest_admissible_order(self, model):
+        for m in range(13):
+            cap, _ = _order_cap(model, m)
+
+            def admissible(n):
+                return n * (m + 1) <= max_order(model) and math.comb(n + m, m) <= DEFAULT_TERM_CAP
+
+            assert admissible(cap) and not admissible(cap + 1), m
+
+    def test_term_cap_reported_on_stderr(self, capsys):
+        # the quote itself would take minutes at m = 11; the cap is what fails early
+        assert _capped_order(self.OU, 11, 30) == 12
+        assert capsys.readouterr().err == (
+            "order capped at 12; order 30 exceeds the multinomial term cap: order 13 "
+            "needs C(24, 11) = 2496144 terms, above DEFAULT_TERM_CAP = 2000000\n"
+        )
 
 
 class TestRunCommand:

@@ -13,8 +13,8 @@ from asianhermite import (
     generator_matrix,
     matrix_exponential,
     moment,
-    mth_selectors,
 )
+from asianhermite.kronecker import mth_selectors
 
 
 def random_query(rng, n_cap=4, m_cap=2):
@@ -120,9 +120,10 @@ class TestCompressionIdentity:
         # of the order-n(r+1) generator
         rng = np.random.default_rng(n + 10 * r)
         sel = mth_selectors(n, r)
-        g_big = generator_matrix(jd_model, n * (r + 1)).matrix
-        d_dense = sel.d_matrix.toarray()
-        e_dense = sel.e_matrix.toarray()
+        g_big = generator_matrix(jd_model, n * (r + 1))
+        # row i of a selector is the unit row of the index it gathers
+        d_dense = np.eye(sel.compressed_size)[sel.d_idx]
+        e_dense = np.eye(sel.expanded_size)[sel.e_idx]
         g_tilde = d_dense @ g_big @ e_dense
         for _ in range(5):
             tau = float(rng.uniform(0.05, 1.0))

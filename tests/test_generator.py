@@ -51,7 +51,7 @@ def jd_moments_by_cumulants(spec, tau, y, n_max):
     moment-cumulant identity.
     """
     b0, b1 = spec.drift_const, spec.drift_lin
-    c = levy_moments(spec.jumps, max(n_max, 2)).c if spec.jumps else np.zeros(n_max + 1)
+    c = levy_moments(spec.jumps, max(n_max, 2)) if spec.jumps else np.zeros(n_max + 1)
     kappa = np.zeros(n_max + 1)
     if b1 == 0.0:
         kappa[1] = y + b0 * tau
@@ -74,14 +74,14 @@ def jd_moments_by_cumulants(spec, tau, y, n_max):
 
 class TestLevyMoments:
     def test_reference_values(self):
-        c = levy_moments(NIG_REF, 6).c
+        c = levy_moments(NIG_REF, 6)
         assert c[2] == pytest.approx(0.05, rel=1e-14)
         assert c[3] == 0.0
         assert c[4] == pytest.approx(0.15, rel=1e-14)
         assert c[5] == 0.0
 
     def test_cumulants_match_quadrature_to_order_ten(self):
-        c = levy_moments(NIG_REF, 10).c
+        c = levy_moments(NIG_REF, 10)
         for m in range(2, 11):
             q = levy_moment_quadrature(NIG_REF, m)
             scale = max(abs(c[m]), abs(q), 1e-12)
@@ -89,7 +89,7 @@ class TestLevyMoments:
 
     def test_asymmetric_measure(self):
         params = NigParams(alpha=2.0, beta=0.8, mu=0.1, delta=0.3)
-        c = levy_moments(params, 8).c
+        c = levy_moments(params, 8)
         for m in range(2, 9):
             q = levy_moment_quadrature(params, m)
             assert c[m] == pytest.approx(q, rel=1e-7)
@@ -99,7 +99,7 @@ class TestLevyMoments:
         # variance and fourth cumulant of the NIG law
         params = NigParams(alpha=1.5, beta=0.5, mu=0.0, delta=0.4)
         gam = math.sqrt(1.5**2 - 0.5**2)
-        c = levy_moments(params, 4).c
+        c = levy_moments(params, 4)
         assert c[2] == pytest.approx(0.4 * 1.5**2 / gam**3, rel=1e-13)
         assert c[3] == pytest.approx(3 * 0.4 * 0.5 * 1.5**2 / gam**5, rel=1e-13)
         assert c[4] == pytest.approx(3 * 0.4 * 1.5**2 * (1.5**2 + 4 * 0.5**2) / gam**7, rel=1e-13)
@@ -112,7 +112,7 @@ class TestLevyMoments:
         # alpha^(1-2j) at even orders and vanish at odd ones; the factorial
         # growth is what makes the jump-diffusion series only asymptotic, and
         # quadrature cannot reach these orders
-        c = levy_moments(params, 40).c
+        c = levy_moments(params, 40)
         for j in range(1, 21):
             binom_half = math.prod((0.5 - i) / (i + 1) for i in range(j))
             expected = params.delta * math.factorial(2 * j) * abs(binom_half) * params.alpha ** (1 - 2 * j)
@@ -136,7 +136,7 @@ class TestLevyMoments:
             levy_moments(NIG_REF, 200)
         # a steep measure keeps them representable through the cap
         steep = NigParams(alpha=30.0, beta=0.0, mu=0.0, delta=0.05)
-        c = levy_moments(steep, 200).c
+        c = levy_moments(steep, 200)
         assert np.all(np.isfinite(c))
 
 
@@ -145,12 +145,12 @@ class TestOrderLimit:
         # the cumulants of alpha = 1, delta = 0.05 are finite up to order
         # 173; C(173, 172) c_172 already overflows, so the generator stops
         # one order earlier
-        assert levy_moments(NIG_REF, 173).c.size == 174
+        assert levy_moments(NIG_REF, 173).size == 174
         with pytest.raises(NumericalError, match="up to order 173"):
             levy_moments(NIG_REF, 174)
         spec = ModelSpec(-0.02, 0.01, 0.49, NIG_REF)
         assert max_order(spec) == 172
-        assert np.all(np.isfinite(generator_matrix(spec, 172).matrix))
+        assert np.all(np.isfinite(generator_matrix(spec, 172)))
         with pytest.raises(ValueError, match="limit 172"):
             generator_matrix(spec, 173)
 
@@ -187,7 +187,7 @@ class TestOrderLimit:
 
     def test_table_is_sliced_not_recomputed(self):
         params = NigParams(alpha=1.7, beta=0.2, mu=0.0, delta=0.11)
-        short, long = levy_moments(params, 10).c, levy_moments(params, 60).c
+        short, long = levy_moments(params, 10), levy_moments(params, 60)
         assert np.array_equal(short, long[:11])
         assert not long.flags.writeable
 
@@ -209,8 +209,7 @@ class TestOrderLimit:
         assert calls == [2, 3, 4, 5, 6]
 
     def test_import_defers_quadrature(self):
-        # scipy.integrate is loaded only when a jump model is validated, and
-        # scipy.sparse only when a dense selector is inspected
+        # scipy.integrate is loaded only when a jump model is validated
         script = (
             "import sys\n"
             "import asianhermite as ah\n"
@@ -218,8 +217,6 @@ class TestOrderLimit:
             "assert 'scipy.sparse' not in sys.modules\n"
             "ah.generator_matrix(ah.ModelSpec(0.0, 0.0, 1.0), 40)\n"
             "assert 'scipy.sparse' not in sys.modules\n"
-            "e = ah.mth_selectors(2, 1).e_matrix\n"
-            "assert e.shape == (5, 9) and e.nnz == 5\n"
             "assert 'scipy.integrate' not in sys.modules\n"
             "from asianhermite import generator\n"
             "calls = []\n"
@@ -271,28 +268,28 @@ def _run_fresh(script: str) -> None:
 
 class TestGeneratorMatrix:
     def test_brownian_order_two(self, bm_model):
-        g = generator_matrix(bm_model, 2).matrix
+        g = generator_matrix(bm_model, 2)
         np.testing.assert_array_equal(g, [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
 
     def test_ou_quadratic_row(self, ou_model):
-        g = generator_matrix(ou_model, 2).matrix
+        g = generator_matrix(ou_model, 2)
         np.testing.assert_allclose(g[2], [0.98, -0.04, 0.02], rtol=1e-15)
 
     def test_jump_contribution_to_quartic_row(self, jd_model):
-        with_jumps = generator_matrix(jd_model, 4).matrix
+        with_jumps = generator_matrix(jd_model, 4)
         without = generator_matrix(
             ModelSpec(jd_model.drift_const, jd_model.drift_lin, jd_model.diff_sq), 4
-        ).matrix
+        )
         delta = with_jumps[4] - without[4]
         np.testing.assert_allclose(delta, [0.15, 0.0, 0.3, 0.0, 0.0], atol=1e-15)
 
     def test_first_row_zero_and_triangular(self, jd_model):
-        g = generator_matrix(jd_model, 8).matrix
+        g = generator_matrix(jd_model, 8)
         np.testing.assert_array_equal(g[0], np.zeros(9))
         assert np.all(np.triu(g, 1) == 0.0)
 
     def test_diagonal_carries_linear_drift(self, ou_model):
-        g = generator_matrix(ou_model, 6).matrix
+        g = generator_matrix(ou_model, 6)
         np.testing.assert_allclose(np.diag(g), 0.01 * np.arange(7), rtol=1e-15)
 
 
@@ -320,7 +317,7 @@ class TestMatrixExponential:
         rng = np.random.default_rng(5)
         for spec in (ou_model, jd_model):
             for n in (3, 6, 10):
-                g = generator_matrix(spec, n).matrix
+                g = generator_matrix(spec, n)
                 s, t = rng.uniform(0.05, 2.0, size=2)
                 left = matrix_exponential(g * s) @ matrix_exponential(g * t)
                 right = matrix_exponential(g * (s + t))

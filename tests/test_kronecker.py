@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from asianhermite import (
+from asianhermite.kronecker import (
     duplicating,
     eliminating,
-    kron,
     mth_selectors,
     vec,
     vec_inverse,
@@ -68,26 +67,6 @@ class TestVecL:
         np.testing.assert_array_equal(vecl(np.array([[1], [2], [3]])), [1, 2, 3])
 
 
-class TestKron:
-    def test_identity_blocks(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kron(np.eye(2), b)
-        np.testing.assert_array_equal(out[:2, :2], b)
-        np.testing.assert_array_equal(out[2:, 2:], b)
-        np.testing.assert_array_equal(out[:2, 2:], np.zeros((2, 2)))
-
-    def test_scalar_factor(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(kron(np.array([[1.0]]), b), b)
-
-    def test_mixed_product_rule(self):
-        rng = np.random.default_rng(1)
-        a, b, c, d = (rng.normal(size=(2, 2)) for _ in range(4))
-        left = kron(a, b) @ kron(c, d)
-        right = kron(a @ c, b @ d)
-        np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-14)
-
-
 class TestSelectors:
     def test_e2_selects_expected_positions(self):
         e = eliminating(2, 2)
@@ -111,15 +90,8 @@ class TestSelectors:
         np.testing.assert_array_equal(e.apply(vec(a)), vecl(a))
         h = random_hankel(n, m, rng)
         np.testing.assert_array_equal(d.apply(vecl(h)), vec(h))
-        np.testing.assert_array_equal(
-            (e.matrix @ d.matrix).toarray(), np.eye(n + m - 1)
-        )
-
-    def test_sparse_rows_single_unit_entry(self):
-        for mat in (eliminating(4, 3).matrix, duplicating(4, 3).matrix):
-            counts = np.asarray((mat != 0).sum(axis=1)).ravel()
-            np.testing.assert_array_equal(counts, np.ones(mat.shape[0]))
-            assert mat.max() == 1.0 and mat.min() == 0.0
+        # E @ D = I: the slot that E keeps for entry i duplicates entry i
+        np.testing.assert_array_equal(d.idx[e.idx], np.arange(n + m - 1))
 
 
 class TestMthSelectors:
@@ -141,16 +113,7 @@ class TestMthSelectors:
 
     def test_composition_identity(self):
         sel = mth_selectors(3, 2)
-        size = sel.compressed_size
-        np.testing.assert_array_equal(
-            (sel.e_matrix @ sel.d_matrix).toarray(), np.eye(size)
-        )
-
-    def test_selector_rows_single_unit_entry(self):
-        sel = mth_selectors(2, 2)
-        for mat in (sel.e_matrix, sel.d_matrix):
-            counts = np.asarray((mat != 0).sum(axis=1)).ravel()
-            np.testing.assert_array_equal(counts, np.ones(mat.shape[0]))
+        np.testing.assert_array_equal(sel.d_idx[sel.e_idx], np.arange(sel.compressed_size))
 
     def test_duplicating_index_is_digit_sum(self):
         # the expanded slot for digits (i_1..i_{m+1}) carries x to the power

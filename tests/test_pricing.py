@@ -17,14 +17,13 @@ from asianhermite import (
     european_price,
     gaussian_call,
     moment,
-    multinomial_expand,
     ou_asian_law,
     scale_floor,
     std_normal,
     stopping_criterion,
     theta,
 )
-from asianhermite.pricing import _gamma_tilde
+from asianhermite.pricing import _gamma_tilde, multinomial_expand
 
 
 def report_from(partial):
@@ -39,31 +38,41 @@ def report_from(partial):
 
 class TestMultinomialExpand:
     def test_binomial_square(self):
-        terms = {t.powers: t.coeff for t in multinomial_expand(2, 1)}
+        terms = dict(multinomial_expand(2, 1))
         assert terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
     def test_order_zero(self):
         terms = multinomial_expand(0, 2)
-        assert len(terms) == 1
-        assert terms[0].powers == (0, 0, 0)
-        assert terms[0].coeff == 1
+        assert terms == [((0, 0, 0), 1)]
 
     def test_cubic_three_slots(self):
         terms = multinomial_expand(3, 2)
         assert len(terms) == 10
-        assert sum(t.coeff for t in terms) == 27
+        assert sum(coeff for _, coeff in terms) == 27
 
     def test_completeness_identity(self):
         # coefficients weighted by (m+1)^-i sum to one: a constant process
         # reproduces its own powers exactly
         for i, m in ((4, 1), (5, 2), (7, 3)):
-            total = sum(t.coeff for t in multinomial_expand(i, m))
+            total = sum(coeff for _, coeff in multinomial_expand(i, m))
             assert total == (m + 1) ** i
 
     def test_term_cap(self):
         with pytest.raises(ValueError):
             # C(104, 4) = 4 598 126 terms, above the cap of 2 000 000
             multinomial_expand(100, 4)
+
+    def test_asian_price_checks_the_cap_before_any_chain(self, ou_model, monkeypatch):
+        # order 13 at m = 11 needs C(24, 11) = 2 496 144 terms; orders 0..12
+        # would take minutes of chains before the expansion of order 13 fails
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a correlator chain ran before the term cap was checked")
+
+        monkeypatch.setattr(CorrelatorEngine, "_chain", no_chain)
+        times = tuple(j / 12 for j in range(1, 13))
+        basis = GhpBasis(drift=2.0, scale=1.0, order=13)
+        with pytest.raises(ValueError, match="2496144 terms, above the cap 2000000"):
+            asian_price(PriceRequest(2.0, 0.0, 0.0, times, basis, ou_model, 2.0))
 
 
 class TestEuropeanPrice:
