@@ -8,8 +8,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .generator import ModelSpec, _sampling_grid
+
 if TYPE_CHECKING:  # pragma: no cover
-    from .generator import ModelSpec
     from .hermite import GhpBasis
 
 # Accuracy exponents beyond double precision are rounding noise; clamp there.
@@ -56,7 +57,7 @@ def gaussian_call(law: GaussianLaw, strike: float) -> float:
     return law.std * pdf - (strike - law.mean) * (1.0 - cdf)
 
 
-def ou_asian_law(spec: "ModelSpec", t: float, y_t: float, times) -> GaussianLaw:
+def ou_asian_law(spec: ModelSpec, t: float, y_t: float, times) -> GaussianLaw:
     """Exact Gaussian law of the discrete average of a jump-free OU process.
 
     The average over the sampling grid decomposes into a weighted sum of
@@ -68,11 +69,7 @@ def ou_asian_law(spec: "ModelSpec", t: float, y_t: float, times) -> GaussianLaw:
         raise ValueError("closed-form average law exists only for jump-free models")
     if not spec.diff_sq > 0:
         raise ValueError("diffusion coefficient must be positive")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("sampling times must be a non-empty 1-d sequence")
-    if np.any(np.diff(times) <= 0) or times[0] <= t:
-        raise ValueError("sampling times must be strictly increasing and after t")
+    times = np.asarray(_sampling_grid(t, times))
 
     b0, b1, sigma0 = spec.drift_const, spec.drift_lin, spec.diff_sq
     mp1 = times.size

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import accuracy_gamma, gaussian_call, ou_asian_law, scale_floor
 from .correlators import CorrelatorEngine
-from .generator import ModelSpec, NigParams, NumericalError, max_order
+from .generator import ModelSpec, NigParams, NumericalError, _sampling_grid, max_order
 from .hermite import (
     MAX_ORDER,
     SERIES_TAIL_END,
@@ -44,6 +44,7 @@ from .hermite import (
 from .montecarlo import McConfig, mc_price
 from .pricing import (
     DEFAULT_TERM_CAP,
+    STOPPING_THRESHOLD,
     PriceRequest,
     asian_price,
     average_std,
@@ -60,6 +61,10 @@ PRICING_COLUMNS = [
     "experiment", "model", "K", "a", "b", "N", "m", "price", "gamma",
     "gamma_tilde", "mc_mean", "mc_lo", "mc_hi", "stopped", "wall_ms",
 ]
+
+
+# the Monte Carlo settings a pricing config may give; McConfig holds their defaults
+_MC_KEYS = ("paths", "batches", "refine")
 
 
 class ConfigError(Exception):
@@ -102,8 +107,10 @@ def _req(cfg: dict, key: str, path: str):
 
 
 def _num(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    # NaN fails the range test, and so do infinities and integers past float range
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -224,7 +231,7 @@ def parse_pricing(cfg: dict) -> PricingExperiment:
     if mc is not None:
         if not isinstance(mc, dict):
             raise ConfigError("mc: expected an object or null")
-        for key in ("paths", "batches", "refine"):
+        for key in _MC_KEYS:
             if key in mc:
                 # a batch-means error needs at least two batches
                 _int(mc[key], f"mc.{key}", 2 if key == "batches" else 1)
@@ -294,30 +301,30 @@ def _capped_order(model: ModelSpec, m: int, requested: int, prefix: str = "") ->
     return cap
 
 
-def _price_report(request: PriceRequest, engine):
-    """European or Asian report by the number of sampling times; failures name the order."""
+def _price_cell(exp: PricingExperiment, engine, times, drift, scale, strike, order):
+    """Request and its European or Asian report, by the number of sampling times.
+
+    A numerical failure names the order that failed.
+    """
+    basis = GhpBasis(drift=drift, scale=scale, order=order)
+    request = PriceRequest(strike=strike, rate=exp.rate, t=exp.t, times=times,
+                           basis=basis, model=exp.model, y_t=exp.y0)
     try:
         if request.m == 0:
-            return european_price(request, engine=engine)
-        return asian_price(request, engine=engine)
+            return request, european_price(request, engine=engine)
+        return request, asian_price(request, engine=engine)
     except NumericalError as exc:
-        raise NumericalError(f"order {request.basis.order} failed: {exc}") from exc
+        raise NumericalError(f"order {order} failed: {exc}") from exc
 
 
 def _mc_config(mc: dict, seed: int) -> McConfig:
-    return McConfig(paths=mc.get("paths", 20_000), batches=mc.get("batches", 100),
-                    seed=seed, refine=mc.get("refine", 100))
+    return McConfig(seed=seed, **{key: mc[key] for key in _MC_KEYS if key in mc})
 
 
 def _run_pricing_cell(exp: PricingExperiment, engine, times, m, order, drift, law, strike,
                       scale, cell_idx):
     started = time.perf_counter()
-    basis = GhpBasis(drift=drift, scale=scale, order=order)
-    request = PriceRequest(
-        strike=strike, rate=exp.rate, t=exp.t, times=times,
-        basis=basis, model=exp.model, y_t=exp.y0,
-    )
-    report = _price_report(request, engine)
+    request, report = _price_cell(exp, engine, times, drift, scale, strike, order)
     exact = gaussian_call(law, strike) if law is not None else None
     mc = (None, None, None)
     if exp.mc is not None:
@@ -469,12 +476,9 @@ def _flag_number(raw: str):
 
 def _explicit_times(raw: str, t: float) -> tuple[float, ...]:
     try:
-        times = tuple(float(s) for s in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"times: expected comma-separated numbers, got {raw!r}") from None
-    if times[0] <= t or any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError(f"times: must be strictly increasing and after t = {t!r}")
-    return times
+        return _sampling_grid(t, raw.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"times: {exc}; got {raw!r}") from None
 
 
 def _price_config(args) -> tuple[dict, tuple[float, ...] | None]:
@@ -494,12 +498,31 @@ def _price_config(args) -> tuple[dict, tuple[float, ...] | None]:
     if args.mc_check:
         cfg["mc"] = {"paths": args.mc_paths, "batches": args.mc_batches, "refine": args.mc_refine}
     times = None
-    if args.times:
+    if args.times is not None:
         times = _explicit_times(args.times, args.t)
         cfg.update(maturity=times[-1], m_values=[len(times) - 1])
     elif args.maturity is not None:
         cfg["maturity"] = args.maturity
     return cfg, times
+
+
+def _price_orders(model: ModelSpec, m: int, top: int, auto_n: bool):
+    """Orders ``price`` tries in turn: ``top``, or 20, 40, .. up to ``top`` with ``--auto-N``.
+
+    Each is held to :func:`_order_cap`; the stderr line that says so comes
+    when the growth first passes the cap.
+    """
+    if not auto_n:
+        yield _capped_order(model, m, top)
+        return
+    cap, _ = _order_cap(model, m)
+    order = min(20, top, cap)
+    yield order
+    while order < min(top, cap):
+        order = min(order + 20, top)
+        if order > cap:
+            order = _capped_order(model, m, top, "auto-N: ")
+        yield order
 
 
 def cmd_price(args) -> int:
@@ -511,36 +534,20 @@ def cmd_price(args) -> int:
     times = times or _uniform_times(exp.t, exp.maturity, m)
     engine = CorrelatorEngine(model)
     drift, _, (scale,) = _resolve(exp, engine, times)
-    order_cap, _ = _order_cap(model, m)
-
-    def price_at(order: int):
-        basis = GhpBasis(drift=drift, scale=scale, order=order)
-        request = PriceRequest(
-            strike=exp.strikes[0], rate=exp.rate, t=exp.t, times=times,
-            basis=basis, model=model, y_t=exp.y0,
-        )
-        return request, _price_report(request, engine)
-
-    if args.auto_n:
-        order = min(20, exp.max_order, order_cap)
-        request, report = price_at(order)
+    report = None
+    for order in _price_orders(model, m, exp.max_order, args.auto_n):
+        try:
+            request, report = _price_cell(exp, engine, times, drift, scale, exp.strikes[0], order)
+        except NumericalError as exc:
+            if report is None:
+                raise
+            # a jump model's moments can exceed double range below its
+            # order limit: keep the last order that priced
+            print(f"auto-N: order capped at {report.order}; {exc}", file=sys.stderr)
+            break
         decision = stopping_criterion(report, args.threshold)
-        while not decision.converged and order < min(exp.max_order, order_cap):
-            grown = min(order + 20, exp.max_order)
-            if grown > order_cap:
-                grown = _capped_order(model, m, exp.max_order, "auto-N: ")
-            try:
-                request, report = price_at(grown)
-            except NumericalError as exc:
-                # a jump model's moments can exceed double range below its
-                # order limit: keep the last order that priced
-                print(f"auto-N: order capped at {order}; {exc}", file=sys.stderr)
-                break
-            order = grown
-            decision = stopping_criterion(report, args.threshold)
-    else:
-        request, report = price_at(_capped_order(model, m, exp.max_order))
-        decision = stopping_criterion(report, args.threshold)
+        if decision.converged:
+            break
 
     print(f"model: {_model_label(model)}  times: {', '.join(repr(s) for s in times)}")
     print(f"basis: a={drift!r} b={scale!r} order={report.order}")
@@ -615,12 +622,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auto-n", "--auto-N", dest="auto_n", action="store_true",
                    help="grow the order until the stop fires")
     p.add_argument("--max-order", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=4.0)
+    p.add_argument("--threshold", type=float, default=STOPPING_THRESHOLD)
     p.add_argument("--greeks", action="store_true")
     p.add_argument("--mc-check", action="store_true")
-    p.add_argument("--mc-paths", type=int, default=20_000)
-    p.add_argument("--mc-batches", type=int, default=100)
-    p.add_argument("--mc-refine", type=int, default=100)
+    p.add_argument("--mc-paths", type=int, default=McConfig.paths)
+    p.add_argument("--mc-batches", type=int, default=McConfig.batches)
+    p.add_argument("--mc-refine", type=int, default=McConfig.refine)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_price)

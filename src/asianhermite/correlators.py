@@ -21,6 +21,8 @@ from .generator import (
     MAX_GENERATOR_ORDER,
     ModelSpec,
     NumericalError,
+    _monomials,
+    _sampling_grid,
     generator_matrix,
     matrix_exponential,
     scale_by_step,
@@ -38,29 +40,18 @@ class CorrelatorQuery:
     powers: tuple[int, ...]
 
     def __post_init__(self):
-        times = tuple(float(s) for s in self.times)
-        powers = tuple(int(k) for k in self.powers)
+        times = _sampling_grid(self.t, self.times)
+        powers = tuple(map(int, self.powers))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "powers", powers)
-        if len(times) == 0:
-            raise ValueError("at least one sampling time is required")
         if len(times) != len(powers):
             raise ValueError("times and powers must have equal length")
-        if times[0] <= self.t or any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("sampling times must be strictly increasing and after t")
-        if any(k < 0 for k in powers):
+        if min(powers) < 0:
             raise ValueError("powers must be non-negative")
 
     @property
     def m(self) -> int:
         return len(self.times) - 1
-
-
-def _monomials(y: float, order: int) -> np.ndarray:
-    # overflow to infinity is intentional here; the finite checks downstream
-    # turn it into a diagnosable error
-    with np.errstate(over="ignore"):
-        return np.power(float(y), np.arange(order + 1, dtype=float))
 
 
 def _monomials_derivative(y: float, order: int) -> np.ndarray:
@@ -165,13 +156,18 @@ class CorrelatorEngine:
         return out
 
 
+def _engine_for(model: ModelSpec, engine: CorrelatorEngine | None) -> CorrelatorEngine:
+    """``engine``, checked to be built for ``model``, or a new one for it."""
+    if engine is None:
+        return CorrelatorEngine(model)
+    if engine.model != model:
+        raise ValueError("engine was built for a different model")
+    return engine
+
+
 def correlator(spec: ModelSpec, query: CorrelatorQuery, engine: CorrelatorEngine | None = None) -> float:
     """One-shot correlator; pass an engine to share caches across queries."""
-    if engine is None:
-        engine = CorrelatorEngine(spec)
-    elif engine.model != spec:
-        raise ValueError("engine was built for a different model")
-    return engine.correlator(query)
+    return _engine_for(spec, engine).correlator(query)
 
 
 def correlator_kronecker_reference(spec: ModelSpec, query: CorrelatorQuery) -> float:

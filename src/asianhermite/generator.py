@@ -9,6 +9,7 @@ conditional moments come from one matrix exponential.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -22,6 +23,24 @@ MAX_GENERATOR_ORDER = 200
 
 class NumericalError(RuntimeError):
     """A linear-algebra kernel produced non-finite output."""
+
+
+def _sampling_grid(t: float, times) -> tuple[float, ...]:
+    """``times`` as floats, checked to be finite, non-empty, strictly increasing and after ``t``."""
+    times = tuple(map(float, times))
+    if not times:
+        raise ValueError("at least one sampling time is required")
+    # every comparison with NaN is False, so a NaN anywhere fails the chain
+    if not (math.isfinite(t) and t < times[0] and math.isfinite(times[-1])
+            and all(map(operator.lt, times, times[1:]))):
+        raise ValueError(f"sampling times must be finite, strictly increasing and after t = {t!r}")
+    return times
+
+
+def _monomials(y: float, order: int) -> np.ndarray:
+    """``(1, y, .., y^order)``; overflow to infinity is left for the finite checks downstream."""
+    with np.errstate(over="ignore"):
+        return np.power(float(y), np.arange(order + 1, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -268,8 +287,7 @@ def moment_vector(spec: ModelSpec, n: int, t: float, horizon: float, y_t: float)
         raise ValueError("horizon must not precede the conditioning time")
     g = generator_matrix(spec, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.power(y_t, np.arange(n + 1, dtype=float))
-        out = matrix_exponential(scale_by_step(g, horizon - t)) @ powers
+        out = matrix_exponential(scale_by_step(g, horizon - t)) @ _monomials(y_t, n)
     if not np.all(np.isfinite(out)):
         raise NumericalError(
             f"moment vector overflowed at order {n}, horizon {horizon - t}, state {y_t}"

@@ -47,23 +47,29 @@ class GhpBasis:
         return (np.asarray(x, dtype=float) - self.drift) / self.scale
 
 
-def hermite_eval(n: int, x):
-    """Probabilists' Hermite polynomial ``q_n`` at ``x`` by the three-term recurrence.
+def _hermite_values(x, n: int):
+    """``q_1(x), .., q_n(x)`` in turn, by ``q_{k+1}(x) = x q_k(x) - k q_{k-1}(x)``.
 
-    ``q_{n+1}(x) = x q_n(x) - n q_{n-1}(x)`` starting from ``q_0 = 1`` and
-    ``q_1 = x``.  Overflow to infinity is possible for extreme ``n`` and
-    ``x`` and is passed through untouched.
+    ``x`` is a float or an array; ``q_0 = 1`` is left to the caller, who
+    knows its shape.  Overflow to infinity is passed through untouched.
     """
-    if n < 0:
-        raise ValueError("polynomial degree must be non-negative")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return float(prev) if prev.ndim == 0 else prev
-    cur = x.copy()
+    if n >= 1:
+        yield x
+    prev, cur = 1.0, x
     for k in range(1, n):
         prev, cur = cur, x * cur - k * prev
-    return float(cur) if cur.ndim == 0 else cur
+        yield cur
+
+
+def hermite_eval(n: int, x):
+    """Probabilists' Hermite polynomial ``q_n`` at ``x`` by the three-term recurrence."""
+    if n < 0:
+        raise ValueError("polynomial degree must be non-negative")
+    x = np.array(x, dtype=float)
+    q = np.ones_like(x)
+    for q in _hermite_values(x, n):
+        pass  # keep the last value, q_n
+    return float(q) if np.ndim(q) == 0 else q
 
 
 def hermite_orthonormal_values(n_max: int, x: float) -> np.ndarray:
@@ -161,12 +167,7 @@ def payoff_coefficients(strike: float, basis: GhpBasis) -> PayoffExpansion:
         # curvature coefficient underflows; the raw polynomials would
         # overflow before the product could recover, so skip them outright.
         if order <= 170:
-            q = np.empty(order - 1)
-            q[0] = 1.0
-            if order >= 3:
-                q[1] = d
-            for k in range(1, order - 2):
-                q[k + 1] = d * q[k] - k * q[k - 1]
+            q = np.array([1.0, *_hermite_values(d, order - 2)])
             fact = np.array([math.factorial(n) for n in range(2, order + 1)], dtype=float)
             beta[2:] = b * pdf * q / fact
         else:
@@ -183,14 +184,8 @@ def payoff_series_eval(expansion: PayoffExpansion, x):
     z = basis.standardize(x)
     beta = expansion.beta
     total = np.full_like(z, beta[0], dtype=float)
-    if basis.order == 0:
-        return float(total) if total.ndim == 0 else total
-    prev = np.ones_like(z)
-    cur = z.copy()
-    total = total + beta[1] * cur
-    for k in range(1, basis.order):
-        prev, cur = cur, z * cur - k * prev
-        total += beta[k + 1] * cur
+    for k, q in enumerate(_hermite_values(z, basis.order), start=1):
+        total += beta[k] * q
     return float(total) if total.ndim == 0 else total
 
 

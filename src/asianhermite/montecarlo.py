@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import ModelSpec
+from .generator import ModelSpec, _sampling_grid
 from .pricing import PriceRequest
 
 @dataclass(frozen=True)
@@ -141,9 +141,7 @@ def simulate_paths(
     spec: ModelSpec, t: float, y_t: float, times, cfg: McConfig
 ) -> np.ndarray:
     """Sample the process at the monitoring times; one row per path."""
-    times = tuple(float(s) for s in times)
-    if times[0] <= t or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("sampling times must be strictly increasing and after t")
+    times = _sampling_grid(t, times)
     scheme = "exact-ou" if spec.jumps is None else "euler-jump"
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     return _simulate(spec, t, y_t, times, cfg.paths, scheme, cfg.refine, rng)

@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .benchmarks import GAMMA_CLAMP
-from .correlators import CorrelatorEngine, CorrelatorQuery
-from .generator import ModelSpec, moment_vector
+from .benchmarks import GAMMA_CLAMP, accuracy_gamma
+from .correlators import CorrelatorEngine, CorrelatorQuery, _engine_for
+from .generator import ModelSpec, _sampling_grid, moment_vector
 from .hermite import GhpBasis, change_of_basis, payoff_coefficients
 
 STOPPING_THRESHOLD = 4.0
@@ -45,16 +45,11 @@ class PriceRequest:
     y_t: float
 
     def __post_init__(self):
-        times = tuple(float(s) for s in self.times)
-        object.__setattr__(self, "times", times)
-        if self.strike < 0:
-            raise ValueError("strike must be non-negative")
-        if self.rate < 0:
-            raise ValueError("rate must be non-negative")
-        if len(times) == 0:
-            raise ValueError("at least one sampling time is required")
-        if times[0] <= self.t or any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("sampling times must be strictly increasing and after t")
+        object.__setattr__(self, "times", _sampling_grid(self.t, self.times))
+        if not 0 <= self.strike < math.inf:
+            raise ValueError("strike must be finite and non-negative")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("rate must be finite and non-negative")
 
     @property
     def m(self) -> int:
@@ -134,14 +129,10 @@ class StoppingDecision(NamedTuple):
 def _gamma_tilde(partial: np.ndarray) -> np.ndarray:
     out = np.full(partial.size, np.nan)
     for n in range(1, partial.size):
-        step = abs(partial[n] - partial[n - 1])
-        base = abs(partial[n - 1])
-        if base == 0.0:
-            out[n] = GAMMA_CLAMP if step == 0.0 else -GAMMA_CLAMP
-        elif step == 0.0:
-            out[n] = GAMMA_CLAMP
+        if partial[n - 1] != 0.0:
+            out[n] = accuracy_gamma(partial[n - 1], partial[n])
         else:
-            out[n] = float(np.clip(-math.log10(step / base), -GAMMA_CLAMP, GAMMA_CLAMP))
+            out[n] = GAMMA_CLAMP if partial[n] == 0.0 else -GAMMA_CLAMP
     return out
 
 
@@ -174,7 +165,8 @@ def stopping_criterion(report: PriceReport, threshold: float = STOPPING_THRESHOL
             neighbour = max(neighbour, steps[n - 2])
         if n < n_max:
             neighbour = max(neighbour, steps[n])
-        if steps[n - 1] > _DEGENERATE_RATIO * neighbour:
+        # a NaN or infinite increment is measured, never vanished
+        if not math.isfinite(steps[n - 1]) or steps[n - 1] > _DEGENERATE_RATIO * neighbour:
             nondeg.append(n)
     if not nondeg:
         # every increment vanished: the series was converged from the start
@@ -228,14 +220,6 @@ def _build_report(partial: np.ndarray) -> PriceReport:
     return PriceReport(price_by_N=partial, gamma_tilde=gt, chosen_N=decision.n, converged=decision.converged)
 
 
-def _engine_for(request: PriceRequest, engine: CorrelatorEngine | None) -> CorrelatorEngine:
-    if engine is None:
-        return CorrelatorEngine(request.model)
-    if engine.model != request.model:
-        raise ValueError("engine was built for a different model")
-    return engine
-
-
 def european_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -> PriceReport:
     """Price of a call on the single-time value via the moment formula.
 
@@ -246,53 +230,38 @@ def european_price(request: PriceRequest, engine: CorrelatorEngine | None = None
     """
     if request.m != 0:
         raise ValueError("european pricing takes exactly one sampling time")
+    engine = _engine_for(request.model, engine)
     order = request.basis.order
     key = (request.t, request.y_t, request.times, order)
-    moments = None
-    if engine is not None:
-        moments = _engine_for(request, engine).moments.get(key)
+    moments = engine.moments.get(key)
     if moments is None:
         moments = moment_vector(request.model, order, request.t, request.maturity, request.y_t)
-        if engine is not None:
-            moments.setflags(write=False)
-            engine.moments[key] = moments
+        moments.setflags(write=False)
+        engine.moments[key] = moments
     partial = request.discount * _series_partial_sums(moments, request.basis, request.strike)
     return _build_report(partial)
 
 
-def _expanded_moments(
-    request: PriceRequest,
-    engine: CorrelatorEngine,
-    orders: range,
-    mode: str = "value",
-    time_index: int = 0,
-) -> np.ndarray:
+def _expanded_moments(request: PriceRequest, value, orders: range) -> np.ndarray:
     """Moments of the discrete average (or their parameter derivatives) at ``orders``.
 
     ``E[X^i]`` expands over multi-indices ``|k| = i`` with multinomial
     weights; each term is a correlator of the underlying at the sampling
-    times.  ``mode`` selects the plain value, the derivative in the initial
-    state, or the derivative in one sampling time.  Each order is summed on
-    its own, so the result for ``i`` does not depend on the other orders.
-    The highest order's term count is checked before the first chain runs.
+    times, evaluated by ``value``: the engine's correlator or one of its
+    derivatives.  Each order is summed on its own, so the result for ``i``
+    does not depend on the other orders.  The highest order's term count is
+    checked before the first chain runs.
     """
     m = request.m
     if orders:
         _check_term_count(orders[-1], m)
     out = np.empty(len(orders))
     for slot, i in enumerate(orders):
-        contributions = []
-        for powers, coeff in multinomial_expand(i, m):
-            query = CorrelatorQuery(
-                t=request.t, y_t=request.y_t, times=request.times, powers=powers
-            )
-            if mode == "value":
-                val = engine.correlator(query)
-            elif mode == "state":
-                val = engine.derivative_state(query)
-            else:
-                val = engine.derivative_time(query, time_index)
-            contributions.append(coeff * val)
+        contributions = [
+            coeff * value(CorrelatorQuery(t=request.t, y_t=request.y_t, times=request.times,
+                                          powers=powers))
+            for powers, coeff in multinomial_expand(i, m)
+        ]
         out[slot] = sum(contributions) / float(m + 1) ** i
     return out
 
@@ -308,7 +277,7 @@ def _average_moments(request: PriceRequest, engine: CorrelatorEngine, order: int
     cached = engine.moments.get(key)
     have = 0 if cached is None else cached.size
     if have <= order:
-        extra = _expanded_moments(request, engine, range(have, order + 1))
+        extra = _expanded_moments(request, engine.correlator, range(have, order + 1))
         cached = extra if cached is None else np.concatenate([cached, extra])
         cached.setflags(write=False)
         engine.moments[key] = cached
@@ -323,10 +292,17 @@ def asian_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -
     Passing a shared engine reuses the moments across strikes and scales,
     which do not enter them.
     """
-    engine = _engine_for(request, engine)
+    engine = _engine_for(request.model, engine)
     moments = _average_moments(request, engine, request.basis.order)
     partial = request.discount * _series_partial_sums(moments, request.basis, request.strike)
     return _build_report(partial)
+
+
+def _sensitivity(request: PriceRequest, derivative) -> float:
+    """Full-order discounted series assembled on the correlator derivatives ``derivative``."""
+    d_moments = _expanded_moments(request, derivative, range(request.basis.order + 1))
+    partial = _series_partial_sums(d_moments, request.basis, request.strike)
+    return request.discount * float(partial[-1])
 
 
 def delta(request: PriceRequest, engine: CorrelatorEngine | None = None) -> float:
@@ -337,10 +313,7 @@ def delta(request: PriceRequest, engine: CorrelatorEngine | None = None) -> floa
     policy that pegs ``a`` to the forward mean is resolved before, not
     inside, the differentiation.
     """
-    engine = _engine_for(request, engine)
-    d_moments = _expanded_moments(request, engine, range(request.basis.order + 1), mode="state")
-    partial = _series_partial_sums(d_moments, request.basis, request.strike)
-    return request.discount * float(partial[-1])
+    return _sensitivity(request, _engine_for(request.model, engine).derivative_state)
 
 
 def theta(request: PriceRequest, j: int, engine: CorrelatorEngine | None = None) -> float:
@@ -352,12 +325,8 @@ def theta(request: PriceRequest, j: int, engine: CorrelatorEngine | None = None)
     """
     if not 0 <= j <= request.m:
         raise ValueError(f"time index {j} out of range for m={request.m}")
-    engine = _engine_for(request, engine)
-    d_moments = _expanded_moments(
-        request, engine, range(request.basis.order + 1), mode="time", time_index=j
-    )
-    partial = _series_partial_sums(d_moments, request.basis, request.strike)
-    out = request.discount * float(partial[-1])
+    engine = _engine_for(request.model, engine)
+    out = _sensitivity(request, lambda query: engine.derivative_time(query, j))
     if j == request.m and request.rate != 0.0:
         value = asian_price(request, engine=engine).price_at_order
         out -= request.rate * value
@@ -366,20 +335,16 @@ def theta(request: PriceRequest, j: int, engine: CorrelatorEngine | None = None)
 
 def default_drift(model: ModelSpec, t: float, y_t: float, times) -> float:
     """Mean of the discrete average, the default focus point of the basis."""
-    times = tuple(float(s) for s in times)
-    total = fsum(
-        float(moment_vector(model, 1, t, s, y_t)[1]) for s in times
-    )
-    return total / len(times)
+    times = _sampling_grid(t, times)
+    return fsum(float(moment_vector(model, 1, t, s, y_t)[1]) for s in times) / len(times)
 
 
 def average_std(
     model: ModelSpec, t: float, y_t: float, times, engine: CorrelatorEngine | None = None
 ) -> float:
     """Standard deviation of the discrete average via pairwise correlators."""
-    times = tuple(float(s) for s in times)
-    if engine is None:
-        engine = CorrelatorEngine(model)
+    times = _sampling_grid(t, times)
+    engine = _engine_for(model, engine)
     mp1 = len(times)
     mean = default_drift(model, t, y_t, times)
     second = 0.0

@@ -325,6 +325,11 @@ BAD_FLAGS = [
     (["--order", "10", "--threshold", "-3"], "threshold"),
     (["--order", "10", "--threshold", "nan"], "threshold"),
     (["--times", "1,0.5"], "times"),
+    (["--strike", "nan"], "strikes[0]"),
+    (["--strike", "inf"], "strikes[0]"),
+    (["--maturity", "nan"], "maturity"),
+    (["--b0", "nan"], "model.b0"),
+    (["--y0=-inf"], "y0"),
     (["--b0", "0", "--sigma0", "0", "--b", "ratio:2"], "scale_ratios"),
 ]
 
@@ -341,6 +346,10 @@ BAD_CONFIGS = [
                            "model": {"kind": "ou", "b0": -0.02, "b1": 0.01, "sigma0": 0.0}},
                  "scale_ratios", id="pricing-ratio-zero-variance"),
     pytest.param(PRICING, {"mc": {"batches": 1}}, "mc.batches", id="pricing-one-mc-batch"),
+    pytest.param(PRICING, {"maturity": math.nan}, "maturity", id="pricing-maturity-nan"),
+    pytest.param(PRICING, {"strikes": [math.inf]}, "strikes[0]", id="pricing-strike-infinity"),
+    pytest.param(PRICING, {"maturity": 10**400}, "maturity", id="pricing-maturity-past-float-range"),
+    pytest.param(PAYOFF, {"strike": math.nan}, "strike", id="payoff-strike-nan"),
 ]
 
 

@@ -254,6 +254,11 @@ class TestStoppingCriterion:
         assert decision.n == 1
         assert decision.converged
 
+    def test_all_nan_series_not_converged(self):
+        # a NaN increment is measured, not vanished: nothing here converged
+        decision = stopping_criterion(report_from([math.nan] * 8))
+        assert decision == (7, False, False)
+
     def test_structural_zero_increments_are_skipped(self, ou_model):
         # with the drift at the mean, odd-order increments vanish
         # identically; the first confirmed measurable crossing decides
@@ -373,6 +378,10 @@ class TestHelpers:
         law = ou_asian_law(ou_model, 0.0, 2.0, times)
         assert average_std(ou_model, 0.0, 2.0, times) == pytest.approx(law.std, rel=1e-11)
 
+    def test_average_std_checks_the_engine_model(self, ou_model, bm_model):
+        with pytest.raises(ValueError, match="different model"):
+            average_std(ou_model, 0.0, 2.0, (1.0, 2.0), engine=CorrelatorEngine(bm_model))
+
     def test_average_std_works_with_jumps(self, jd_model):
         sigma = average_std(jd_model, 0.0, 2.0, (2.0,))
         var = moment(jd_model, 2, 0.0, 2.0, 2.0) - moment(jd_model, 1, 0.0, 2.0, 2.0) ** 2
@@ -394,3 +403,12 @@ class TestRequestValidation:
         basis = GhpBasis(drift=0.0, scale=1.0, order=2)
         with pytest.raises(ValueError):
             PriceRequest(1.0, 0.0, 0.0, (2.0, 1.0), basis, bm_model, 0.0)
+
+    @pytest.mark.parametrize("strike, rate, t", [
+        (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, math.nan, 0.0),
+        (1.0, math.inf, 0.0), (1.0, 0.0, math.nan),
+    ])
+    def test_non_finite_inputs(self, strike, rate, t, bm_model):
+        basis = GhpBasis(drift=0.0, scale=1.0, order=2)
+        with pytest.raises(ValueError):
+            PriceRequest(strike, rate, t, (1.0,), basis, bm_model, 0.0)
