@@ -25,14 +25,13 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from math import comb
 
 import numpy as np
 
 from . import __version__
 from .benchmarks import accuracy_gamma, gaussian_call, ou_asian_law, scale_floor
 from .correlators import CorrelatorEngine
-from .generator import ModelSpec, NigParams, NumericalError, _sampling_grid, max_order
+from .generator import ModelSpec, NigParams, NumericalError, _sampling_grid
 from .hermite import (
     MAX_ORDER,
     SERIES_TAIL_END,
@@ -43,9 +42,9 @@ from .hermite import (
 )
 from .montecarlo import McConfig, mc_price
 from .pricing import (
-    DEFAULT_TERM_CAP,
     STOPPING_THRESHOLD,
     PriceRequest,
+    _order_limit,
     asian_price,
     average_std,
     default_drift,
@@ -271,30 +270,9 @@ def _resolve(exp: PricingExperiment, engine: CorrelatorEngine, times):
     return drift, law, tuple(r * floor for r in exp.scale_ratios)
 
 
-def _order_cap(model: ModelSpec, m: int) -> tuple[int, str]:
-    """Highest series order for ``m + 1`` sampling times, and the limit that sets it.
-
-    The generator of a correlator chain has order ``N (m + 1)``, so
-    ``max_order(model) // (m + 1)`` bounds ``N``; the moment of order ``N``
-    also expands into ``C(N + m, m)`` multinomial terms, at most
-    ``DEFAULT_TERM_CAP``.
-    """
-    limit = max_order(model)
-    cap = limit // (m + 1)
-    terms = 0
-    while terms < cap and comb(terms + 1 + m, m) <= DEFAULT_TERM_CAP:
-        terms += 1
-    if terms < cap:
-        count = comb(terms + 1 + m, m)
-        return terms, (f"the multinomial term cap: order {terms + 1} needs "
-                       f"C({terms + 1 + m}, {m}) = {count} terms, above "
-                       f"DEFAULT_TERM_CAP = {DEFAULT_TERM_CAP}")
-    return cap, f"max_order(model) // (m + 1) = {limit} // {m + 1}"
-
-
 def _capped_order(model: ModelSpec, m: int, requested: int, prefix: str = "") -> int:
-    """``requested``, lowered to :func:`_order_cap` with a line on stderr."""
-    cap, limit = _order_cap(model, m)
+    """``requested``, lowered to :func:`~.pricing._order_limit` with a line on stderr."""
+    cap, limit = _order_limit(model, m)
     if requested <= cap:
         return requested
     print(f"{prefix}order capped at {cap}; order {requested} exceeds {limit}", file=sys.stderr)
@@ -509,13 +487,13 @@ def _price_config(args) -> tuple[dict, tuple[float, ...] | None]:
 def _price_orders(model: ModelSpec, m: int, top: int, auto_n: bool):
     """Orders ``price`` tries in turn: ``top``, or 20, 40, .. up to ``top`` with ``--auto-N``.
 
-    Each is held to :func:`_order_cap`; the stderr line that says so comes
+    Each is held to :func:`~.pricing._order_limit`; the stderr line that says so comes
     when the growth first passes the cap.
     """
     if not auto_n:
         yield _capped_order(model, m, top)
         return
-    cap, _ = _order_cap(model, m)
+    cap, _ = _order_limit(model, m)
     order = min(20, top, cap)
     yield order
     while order < min(top, cap):

@@ -66,12 +66,13 @@ class CorrelatorEngine:
 
     Propagator exponentials are cached per (order, time step), which is the
     dominant saving on the uniform sampling grids of a pricing run.
-    ``moments`` holds the moment vectors the pricing layer builds from
-    correlators; they depend on neither strike nor basis, so a sweep over
-    strikes and scales computes them once.  Keys are ``(t, y_t, times)``
-    for the moments of the average, extended in place to higher orders,
-    and ``(t, y_t, times, order)`` for single-time moment vectors, whose
-    exponential depends on the order.  The engine is not thread-safe.
+    ``moments`` holds the moments of the sampled average; only
+    ``pricing._average_moments`` reads or writes it.  They depend on neither
+    strike nor basis, so a sweep over strikes and scales computes them once.
+    Keys are ``(t, y_t, times)`` for two or more sampling times, extended in
+    place to higher orders, and ``(t, y_t, times, order)`` for one sampling
+    time, whose exponential depends on the order.  The engine is not
+    thread-safe.
     """
 
     def __init__(self, model: ModelSpec):

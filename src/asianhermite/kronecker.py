@@ -11,7 +11,6 @@ maps and applied as gather operations; they are never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -131,7 +130,6 @@ class MthSelector:
         return np.asarray(v)[..., self.d_idx]
 
 
-@lru_cache(maxsize=None)
 def _mth_index_maps(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     if m == 1:
         return _eliminating_index(n + 1, n + 1), _duplicating_index(n + 1, n + 1)

@@ -1,8 +1,8 @@
 """Call-option pricing by the truncated polynomial payoff series.
 
-European-style prices need the conditional moments of the terminal value;
-discretely sampled Asian prices expand the moments of the arithmetic
-average into correlators by the multinomial theorem.  Partial sums over
+Every price needs only the moments of the average of the sampled values:
+:func:`_average_moments` computes them (one sampling time is the European
+case) and :func:`_order_limit` bounds their order.  Partial sums over
 every truncation order are always produced, because the working stopping
 rule and the divergence diagnostics both live on the increment sequence.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from .benchmarks import GAMMA_CLAMP, accuracy_gamma
 from .correlators import CorrelatorEngine, CorrelatorQuery, _engine_for
-from .generator import ModelSpec, _sampling_grid, moment_vector
+from .generator import ModelSpec, _sampling_grid, max_order, moment_vector
 from .hermite import GhpBasis, change_of_basis, payoff_coefficients
 
 STOPPING_THRESHOLD = 4.0
@@ -64,10 +64,25 @@ class PriceRequest:
         return math.exp(-self.rate * (self.maturity - self.t))
 
 
-def _check_term_count(total: int, m: int) -> None:
-    count = comb(total + m, m)
-    if count > DEFAULT_TERM_CAP:
-        raise ValueError(f"expansion would produce {count} terms, above the cap {DEFAULT_TERM_CAP}")
+def _order_limit(model: ModelSpec, m: int) -> tuple[int, str]:
+    """Highest moment order of an ``m + 1``-point average, and the limit that sets it.
+
+    The generator of a correlator chain has order ``N (m + 1)``, so
+    ``max_order(model) // (m + 1)`` bounds ``N``; the moment of order ``N``
+    also expands into ``C(N + m, m)`` multinomial terms, at most
+    ``DEFAULT_TERM_CAP``.
+    """
+    limit = max_order(model)
+    cap = limit // (m + 1)
+    terms = 0
+    while terms < cap and comb(terms + 1 + m, m) <= DEFAULT_TERM_CAP:
+        terms += 1
+    if terms < cap:
+        count = comb(terms + 1 + m, m)
+        return terms, (f"the multinomial term cap: order {terms + 1} needs "
+                       f"C({terms + 1 + m}, {m}) = {count} terms, above "
+                       f"DEFAULT_TERM_CAP = {DEFAULT_TERM_CAP}")
+    return cap, f"max_order(model) // (m + 1) = {limit} // {m + 1}"
 
 
 def multinomial_expand(total: int, m: int) -> list[tuple[tuple[int, ...], int]]:
@@ -77,7 +92,9 @@ def multinomial_expand(total: int, m: int) -> list[tuple[tuple[int, ...], int]]:
     """
     if total < 0 or m < 0:
         raise ValueError("expansion orders must be non-negative")
-    _check_term_count(total, m)
+    count = comb(total + m, m)
+    if count > DEFAULT_TERM_CAP:
+        raise ValueError(f"expansion would produce {count} terms, above the cap {DEFAULT_TERM_CAP}")
     fact = math.factorial(total)
     out: list[tuple[tuple[int, ...], int]] = []
 
@@ -147,8 +164,9 @@ def stopping_criterion(report: PriceReport, threshold: float = STOPPING_THRESHOL
     identically -- and are skipped, since they carry no evidence either
     way.  If negligibility is observed but never confirmed (the series
     turned around and diverged), the first crossing is reported with
-    ``converged=False``; with no crossing at all the last order is
-    reported, also unconverged.
+    ``converged=False``.  With no crossing at all, a tail of at least two
+    vanished increments is accepted as converged; otherwise the last order
+    is reported, unconverged.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
@@ -182,9 +200,10 @@ def stopping_criterion(report: PriceReport, threshold: float = STOPPING_THRESHOL
     if first_cross is not None:
         return StoppingDecision(first_cross, False, True)
     last = nondeg[-1]
-    if last < n_max:
+    if last < n_max - 1:
         # measurable increments died out below the noise floor before ever
-        # crossing the threshold: the tail is quiet, accept it
+        # crossing the threshold: the tail is quiet, accept it.  One vanished
+        # increment at the end may be a structural zero of a diverging series
         return StoppingDecision(last + 1, True, False)
     return StoppingDecision(n_max, False, False)
 
@@ -220,87 +239,93 @@ def _build_report(partial: np.ndarray) -> PriceReport:
     return PriceReport(price_by_N=partial, gamma_tilde=gt, chosen_N=decision.n, converged=decision.converged)
 
 
-def european_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -> PriceReport:
-    """Price of a call on the single-time value via the moment formula.
-
-    Computes all conditional moments up to the basis order with one matrix
-    exponential, recenters them onto the basis, and accumulates discounted
-    partial sums for every truncation.  Passing a shared engine reuses the
-    moment vector across strikes and scales, which do not enter it.
-    """
-    if request.m != 0:
-        raise ValueError("european pricing takes exactly one sampling time")
-    engine = _engine_for(request.model, engine)
-    order = request.basis.order
-    key = (request.t, request.y_t, request.times, order)
-    moments = engine.moments.get(key)
-    if moments is None:
-        moments = moment_vector(request.model, order, request.t, request.maturity, request.y_t)
-        moments.setflags(write=False)
-        engine.moments[key] = moments
-    partial = request.discount * _series_partial_sums(moments, request.basis, request.strike)
-    return _build_report(partial)
-
-
-def _expanded_moments(request: PriceRequest, value, orders: range) -> np.ndarray:
+def _expanded_moments(model: ModelSpec, t: float, y_t: float, times: tuple[float, ...],
+                      value, orders: range) -> np.ndarray:
     """Moments of the discrete average (or their parameter derivatives) at ``orders``.
 
     ``E[X^i]`` expands over multi-indices ``|k| = i`` with multinomial
     weights; each term is a correlator of the underlying at the sampling
     times, evaluated by ``value``: the engine's correlator or one of its
     derivatives.  Each order is summed on its own, so the result for ``i``
-    does not depend on the other orders.  The highest order's term count is
-    checked before the first chain runs.
+    does not depend on the other orders.  The highest order is checked
+    against :func:`_order_limit` before the first chain runs.
     """
-    m = request.m
+    m = len(times) - 1
     if orders:
-        _check_term_count(orders[-1], m)
+        cap, limit = _order_limit(model, m)
+        if orders[-1] > cap:
+            raise ValueError(f"order {orders[-1]} exceeds {limit}")
     out = np.empty(len(orders))
     for slot, i in enumerate(orders):
         contributions = [
-            coeff * value(CorrelatorQuery(t=request.t, y_t=request.y_t, times=request.times,
-                                          powers=powers))
+            coeff * value(CorrelatorQuery(t=t, y_t=y_t, times=times, powers=powers))
             for powers, coeff in multinomial_expand(i, m)
         ]
         out[slot] = sum(contributions) / float(m + 1) ** i
     return out
 
 
-def _average_moments(request: PriceRequest, engine: CorrelatorEngine, order: int) -> np.ndarray:
+def _average_moments(engine: CorrelatorEngine, t: float, y_t: float,
+                     times: tuple[float, ...], order: int) -> np.ndarray:
     """``E[X^i]`` of the discrete average for ``i = 0..order``, from the engine's cache.
 
-    A cached vector that is too short is extended by the missing orders
-    only; since each order is summed on its own, the result is the same
-    as computing every order afresh.
+    The one owner of ``engine.moments``.  One sampling time takes one
+    conditional moment vector, cached per order because its exponential
+    depends on the order.  More sampling times take the multinomial
+    expansion over correlators; a cached vector that is too short is
+    extended by the missing orders only, and since each order is summed on
+    its own, the result is the same as computing every order afresh.
     """
-    key = (request.t, request.y_t, request.times)
+    single = len(times) == 1
+    key = (t, y_t, times, order) if single else (t, y_t, times)
     cached = engine.moments.get(key)
     have = 0 if cached is None else cached.size
     if have <= order:
-        extra = _expanded_moments(request, engine.correlator, range(have, order + 1))
-        cached = extra if cached is None else np.concatenate([cached, extra])
+        if single:
+            cached = moment_vector(engine.model, order, t, times[0], y_t)
+        else:
+            extra = _expanded_moments(engine.model, t, y_t, times, engine.correlator,
+                                      range(have, order + 1))
+            cached = extra if cached is None else np.concatenate([cached, extra])
         cached.setflags(write=False)
         engine.moments[key] = cached
     return cached[: order + 1]
 
 
-def asian_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -> PriceReport:
-    """Price of a discretely sampled arithmetic Asian call via correlators.
-
-    The moments of the average come from the multinomial expansion over
-    correlators; from there the assembly is identical to the European case.
-    Passing a shared engine reuses the moments across strikes and scales,
-    which do not enter them.
-    """
+def _price(request: PriceRequest, engine: CorrelatorEngine | None) -> PriceReport:
+    """Discounted partial sums and stopping decision from the moments of the average."""
     engine = _engine_for(request.model, engine)
-    moments = _average_moments(request, engine, request.basis.order)
+    moments = _average_moments(engine, request.t, request.y_t, request.times, request.basis.order)
     partial = request.discount * _series_partial_sums(moments, request.basis, request.strike)
     return _build_report(partial)
 
 
+def european_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -> PriceReport:
+    """Price of a call on the single-time value: :func:`asian_price` at ``m = 0``.
+
+    The moments come from one matrix exponential, shared across strikes
+    and scales through ``engine``.
+    """
+    if request.m != 0:
+        raise ValueError("european pricing takes exactly one sampling time")
+    return _price(request, engine)
+
+
+def asian_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -> PriceReport:
+    """Price of a discretely sampled arithmetic Asian call.
+
+    The moments of the average are recentered onto the basis and summed
+    against the payoff coefficients, one partial sum per truncation.
+    Passing a shared engine reuses the moments across strikes and scales,
+    which do not enter them.
+    """
+    return _price(request, engine)
+
+
 def _sensitivity(request: PriceRequest, derivative) -> float:
     """Full-order discounted series assembled on the correlator derivatives ``derivative``."""
-    d_moments = _expanded_moments(request, derivative, range(request.basis.order + 1))
+    d_moments = _expanded_moments(request.model, request.t, request.y_t, request.times,
+                                  derivative, range(request.basis.order + 1))
     partial = _series_partial_sums(d_moments, request.basis, request.strike)
     return request.discount * float(partial[-1])
 
@@ -342,21 +367,14 @@ def default_drift(model: ModelSpec, t: float, y_t: float, times) -> float:
 def average_std(
     model: ModelSpec, t: float, y_t: float, times, engine: CorrelatorEngine | None = None
 ) -> float:
-    """Standard deviation of the discrete average via pairwise correlators."""
+    """Standard deviation of the discrete average.
+
+    ``E[X^2]`` is the engine's, so a price on the same engine and grid
+    reuses it; the mean is :func:`default_drift`'s sum of single-time means.
+    """
     times = _sampling_grid(t, times)
-    engine = _engine_for(model, engine)
-    mp1 = len(times)
+    second = _average_moments(_engine_for(model, engine), t, y_t, times, 2)[2]
     mean = default_drift(model, t, y_t, times)
-    second = 0.0
-    for i in range(mp1):
-        for j in range(mp1):
-            powers = [0] * mp1
-            powers[i] += 1
-            powers[j] += 1
-            second += engine.correlator(
-                CorrelatorQuery(t=t, y_t=y_t, times=times, powers=tuple(powers))
-            )
-    second /= mp1**2
     var = second - mean * mean
     if var <= 0:
         raise ValueError("average has no positive variance under this model")

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from asianhermite import ModelSpec, NigParams, max_order
-from asianhermite.cli import PRICING_COLUMNS, _capped_order, _order_cap, load_config, main
-from asianhermite.pricing import DEFAULT_TERM_CAP
+from asianhermite.cli import PRICING_COLUMNS, _capped_order, load_config, main
+from asianhermite.pricing import DEFAULT_TERM_CAP, _order_limit
 
 
 def read_rows(path):
@@ -187,14 +187,14 @@ class TestOrderCap:
         (OU, 11, 12, "term cap"), (FIG8, 7, 21, "max_order"), (FIG8, 8, 18, "term cap"),
     ], ids=["ou-0", "ou-6", "ou-7", "ou-11", "fig8-7", "fig8-8"])
     def test_cap_and_its_limit(self, model, m, cap, binding):
-        got, limit = _order_cap(model, m)
+        got, limit = _order_limit(model, m)
         assert got == cap
         assert binding in limit
 
     @pytest.mark.parametrize("model", [OU, FIG8], ids=["ou", "fig8"])
     def test_cap_is_the_largest_admissible_order(self, model):
         for m in range(13):
-            cap, _ = _order_cap(model, m)
+            cap, _ = _order_limit(model, m)
 
             def admissible(n):
                 return n * (m + 1) <= max_order(model) and math.comb(n + m, m) <= DEFAULT_TERM_CAP

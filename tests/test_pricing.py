@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,17 +63,28 @@ class TestMultinomialExpand:
             # C(104, 4) = 4 598 126 terms, above the cap of 2 000 000
             multinomial_expand(100, 4)
 
-    def test_asian_price_checks_the_cap_before_any_chain(self, ou_model, monkeypatch):
+    @pytest.mark.parametrize(
+        "price", [asian_price, delta, lambda req: theta(req, 0)],
+        ids=["asian_price", "delta", "theta"],
+    )
+    @pytest.mark.parametrize("m, order, limit", [
         # order 13 at m = 11 needs C(24, 11) = 2 496 144 terms; orders 0..12
         # would take minutes of chains before the expansion of order 13 fails
+        (11, 13, "order 13 exceeds the multinomial term cap: order 13 needs "
+                 "C(24, 11) = 2496144 terms, above DEFAULT_TERM_CAP = 2000000"),
+        # order 101 at m = 1 needs a generator of order 202
+        (1, 101, "order 101 exceeds max_order(model) // (m + 1) = 200 // 2"),
+    ], ids=["term-cap", "generator"])
+    def test_order_limit_checked_before_any_chain(self, ou_model, monkeypatch, price, m,
+                                                  order, limit):
         def no_chain(*args, **kwargs):
-            raise AssertionError("a correlator chain ran before the term cap was checked")
+            raise AssertionError("a correlator chain ran before the order limit was checked")
 
         monkeypatch.setattr(CorrelatorEngine, "_chain", no_chain)
-        times = tuple(j / 12 for j in range(1, 13))
-        basis = GhpBasis(drift=2.0, scale=1.0, order=13)
-        with pytest.raises(ValueError, match="2496144 terms, above the cap 2000000"):
-            asian_price(PriceRequest(2.0, 0.0, 0.0, times, basis, ou_model, 2.0))
+        times = tuple((j + 1) / (m + 1) for j in range(m + 1))
+        basis = GhpBasis(drift=2.0, scale=1.0, order=order)
+        with pytest.raises(ValueError, match=re.escape(limit)):
+            price(PriceRequest(2.0, 0.0, 0.0, times, basis, ou_model, 2.0))
 
 
 class TestEuropeanPrice:
@@ -131,14 +143,13 @@ class TestEuropeanPrice:
 
 class TestAsianPrice:
     def test_single_point_equals_european(self, ou_model, jd_model):
+        # one sampling time is the European case of the same moment function
         for model in (ou_model, jd_model):
             basis = GhpBasis(drift=2.0, scale=1.5, order=12)
             req = PriceRequest(2.0, 0.03, 0.0, (2.0,), basis, model, 2.0)
             eu = european_price(req)
             asian = asian_price(req)
-            np.testing.assert_allclose(
-                asian.price_by_N, eu.price_by_N, rtol=1e-12, atol=1e-15
-            )
+            assert np.array_equal(asian.price_by_N, eu.price_by_N)
 
     def test_ou_average_converges_to_closed_form(self, ou_model):
         times = (1.0, 2.0)
@@ -159,7 +170,7 @@ class TestAsianPrice:
         const = ModelSpec(drift_const=0.0, drift_lin=0.0, diff_sq=0.0)
         basis = GhpBasis(drift=1.0, scale=1.0, order=8)
         req = PriceRequest(1.5, 0.0, 0.0, (0.5, 1.0, 1.5), basis, const, 2.0)
-        moments = _average_moments(req, CorrelatorEngine(const), 8)
+        moments = _average_moments(CorrelatorEngine(const), 0.0, 2.0, req.times, 8)
         np.testing.assert_allclose(moments, 2.0 ** np.arange(9.0), rtol=1e-13)
         # the payoff series itself then converges to the deterministic payoff
         wide = GhpBasis(drift=2.0, scale=1.0, order=60)
@@ -193,6 +204,29 @@ class TestAsianPrice:
         assert chains == []
         assert p1.price_by_N[-1] != p2.price_by_N[-1]
 
+    def test_average_std_moments_reused_by_a_price(self, ou_model, monkeypatch):
+        chains = []
+        original = CorrelatorEngine._chain
+
+        def counting(self, *args, **kwargs):
+            chains.append(args[0].powers)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CorrelatorEngine, "_chain", counting)
+        engine = CorrelatorEngine(ou_model)
+        times = (1.0, 2.0)
+        average_std(ou_model, 0.0, 2.0, times, engine=engine)
+        assert chains
+        chains.clear()
+        basis = GhpBasis(drift=2.0, scale=1.6, order=2)
+        report = asian_price(PriceRequest(2.0, 0.0, 0.0, times, basis, ou_model, 2.0),
+                             engine=engine)
+        assert chains == []
+        assert np.array_equal(
+            report.price_by_N,
+            asian_price(PriceRequest(2.0, 0.0, 0.0, times, basis, ou_model, 2.0)).price_by_N,
+        )
+
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("kind", ["ou", "jd"])
     def test_extended_moments_equal_direct(self, kind, m, ou_model, jd_model):
@@ -205,9 +239,9 @@ class TestAsianPrice:
         basis = GhpBasis(drift=2.0, scale=1.6, order=20)
         req = PriceRequest(2.0, 0.0, 0.0, times, basis, model, 2.0)
         grown = CorrelatorEngine(model)
-        short = _average_moments(req, grown, 10)
-        extended = _average_moments(req, grown, 20)
-        direct = _average_moments(req, CorrelatorEngine(model), 20)
+        short = _average_moments(grown, 0.0, 2.0, req.times, 10)
+        extended = _average_moments(grown, 0.0, 2.0, req.times, 20)
+        direct = _average_moments(CorrelatorEngine(model), 0.0, 2.0, req.times, 20)
         assert np.array_equal(extended, direct)
         assert np.array_equal(short, direct[:11])
         assert np.array_equal(
@@ -281,6 +315,18 @@ class TestStoppingCriterion:
         req = PriceRequest(1.0, 0.0, 0.0, (2.0,), basis, jd_model, 2.0)
         report = european_price(req)
         assert not report.converged
+
+    def test_one_vanished_last_increment_is_not_a_quiet_tail(self):
+        # a diverging series whose last increment is a structural zero
+        increments = [x for k in range(1, 11) for x in (0.1 * 1.5**k, 0.0)]
+        quiet = report_from(np.concatenate([[1.0], 1.0 + np.cumsum(increments)]))
+        assert stopping_criterion(quiet) == (20, False, False)
+        loud = report_from(np.concatenate([[1.0], 1.0 + np.cumsum(increments[:-1])]))
+        assert stopping_criterion(loud) == (19, False, False)
+
+    def test_two_vanished_last_increments_are_a_quiet_tail(self):
+        decision = stopping_criterion(report_from([1.0, 1.1, 1.15, 1.15, 1.15]))
+        assert decision == (3, True, False)
 
     @pytest.mark.parametrize("threshold", [-3.0, 0.0, math.nan, math.inf])
     def test_threshold_must_be_finite_and_positive(self, threshold):
@@ -359,6 +405,21 @@ class TestGreeks:
         ).price_at_order
         fd = (up - dn) / (2 * h)
         assert theta(req, 1, engine=engine) == pytest.approx(fd, rel=1e-5)
+
+    def test_european_theta_with_discounting(self, ou_model):
+        # at m = 0 the sampling time is the maturity: the moments and the
+        # discount factor both move with it
+        basis = GhpBasis(drift=2.0, scale=1.6, order=10)
+        req = PriceRequest(2.0, 0.05, 0.0, (2.0,), basis, ou_model, 2.0)
+        h = 1e-5
+        up = european_price(
+            PriceRequest(2.0, 0.05, 0.0, (2.0 + h,), basis, ou_model, 2.0)
+        ).price_at_order
+        dn = european_price(
+            PriceRequest(2.0, 0.05, 0.0, (2.0 - h,), basis, ou_model, 2.0)
+        ).price_at_order
+        fd = (up - dn) / (2 * h)
+        assert theta(req, 0) == pytest.approx(fd, rel=1e-5)
 
     def test_theta_index_validated(self, ou_model):
         basis = GhpBasis(drift=2.0, scale=1.6, order=4)
