@@ -12,7 +12,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -119,28 +118,48 @@ def _nig_cumulants(params: NigParams) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=None)
+def _exp_sinh_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``x`` and weights ``w`` with ``sum w f(x) ~ int_0^inf f(x) e^-x dx / x``.
+
+    A fixed exp-sinh rule (Takahasi & Mori 1974): ``x = exp(pi/2 sinh t)``
+    for ``t`` in ``[-4.5, 4.5]`` with step 1/16.  The weights carry the
+    Jacobian and ``e^-x``; nodes where ``e^-x`` underflows (``x >= 700``)
+    are dropped, which leaves 107.
+    """
+    h = 1.0 / 16.0
+    t = np.arange(-72, 73) * h
+    x = np.exp(0.5 * np.pi * np.sinh(t))
+    keep = x < 700.0
+    x, t = x[keep], t[keep]
+    w = h * 0.5 * np.pi * np.cosh(t) * np.exp(-x)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _density_integral(params: NigParams, weight) -> float:
-    """``weight(z)`` integrated against the NIG Levy density over the real line."""
-    # deferred: scipy.integrate and scipy.special are only needed when
-    # moments are validated
-    from scipy.integrate import quad
+    """``weight(z)`` integrated against the NIG Levy density over the real line.
+
+    ``weight`` must accept arrays.  The density is ``delta alpha / pi *
+    exp(beta z - alpha |z|) * kve(1, alpha |z|) / |z|``.  On each half-line
+    ``z = +-x / (alpha -+ beta)`` turns the exponential into ``e^-x`` and
+    ``dz / |z|`` into ``dx / x``, the form the exp-sinh rule integrates, so
+    no exponential overflows.
+    """
+    # deferred: scipy.special is only needed when moments are validated
     from scipy.special import kve
 
     a, b, d = params.alpha, params.beta, params.delta
-
-    def f(z):
-        # exp(beta z) alone overflows for large |z|; fold it into the scaled
-        # Bessel function, whose combined exponent beta*z - alpha*|z| is <= 0
-        density = d * a / math.pi * math.exp(b * z - a * abs(z)) * kve(1, a * abs(z)) / abs(z)
-        return weight(z) * density
-
-    pos, _ = quad(f, 0.0, np.inf, limit=200)
-    neg, _ = quad(f, -np.inf, 0.0, limit=200)
-    return pos + neg
+    x, w = _exp_sinh_rule()
+    total = 0.0
+    for z in (x / (a - b), -x / (a + b)):
+        total += float(np.dot(w, weight(z) * kve(1, a * np.abs(z))))
+    return d * a / math.pi * total
 
 
 def levy_moment_quadrature(params: NigParams, m: int) -> float:
-    """Adaptive quadrature of ``z^m`` against the NIG Levy density (m >= 2)."""
+    """Exp-sinh quadrature of ``z^m`` against the NIG Levy density (m >= 2)."""
     if m < 2:
         raise ValueError("Levy moments are defined for m >= 2 only")
     return _density_integral(params, lambda z: z**m)
@@ -173,6 +192,19 @@ def _validate_levy_table(params: NigParams) -> None:
 
 
 @lru_cache(maxsize=None)
+def _pascal() -> np.ndarray:
+    """``C(k, j)`` rounded to floats for ``j <= k <= MAX_GENERATOR_ORDER``, read-only."""
+    n = MAX_GENERATOR_ORDER
+    p = np.zeros((n + 1, n + 1))
+    row = [1]  # exact integers, rounded once each
+    for k in range(n + 1):
+        p[k, : k + 1] = row
+        row = [1, *map(operator.add, row, row[1:]), 1]
+    p.setflags(write=False)
+    return p
+
+
+@lru_cache(maxsize=None)
 def max_order(spec: ModelSpec) -> int:
     """Highest generator order whose matrix is finite in double precision.
 
@@ -184,11 +216,11 @@ def max_order(spec: ModelSpec) -> int:
     """
     if spec.jumps is None:
         return MAX_GENERATOR_ORDER
-    c = _levy_table(spec.jumps).tolist()
-    for k in range(2, len(c)):
-        if not all(math.isfinite(comb(k, j) * c[j]) for j in range(2, k + 1)):
-            return k - 1
-    return len(c) - 1
+    c = _levy_table(spec.jumps)
+    with np.errstate(over="ignore"):
+        weighted = _pascal()[: c.size, 2 : c.size] * c[2:]
+    overflowed = np.flatnonzero(~np.isfinite(weighted).all(axis=1))
+    return int(overflowed[0]) - 1 if overflowed.size else c.size - 1
 
 
 def levy_moments(params: NigParams, n_max: int) -> np.ndarray:
@@ -196,7 +228,7 @@ def levy_moments(params: NigParams, n_max: int) -> np.ndarray:
 
     ``c[m]`` is the integral of ``z^m`` against the Levy measure.  The
     cumulant table is computed once per parameter set and sliced.  Its low
-    orders are cross-checked against adaptive quadrature of the Levy
+    orders are cross-checked against a double-exponential rule on the Levy
     density, also once per parameter set.
     """
     if n_max < 2:
@@ -227,17 +259,16 @@ def generator_matrix(spec: ModelSpec, n: int) -> np.ndarray:
     if n > limit:
         raise ValueError(f"order {n} exceeds the limit {limit} of this model")
     g = np.zeros((n + 1, n + 1))
-    c = None
-    if spec.jumps is not None and n >= 2:
-        c = levy_moments(spec.jumps, n)
     for k in range(1, n + 1):
         g[k, k] += spec.drift_lin * k
         g[k, k - 1] += spec.drift_const * k
         if k >= 2:
             g[k, k - 2] += 0.5 * spec.diff_sq * k * (k - 1)
-            if c is not None:
-                for j in range(2, k + 1):
-                    g[k, k - j] += comb(k, j) * c[j]
+    if spec.jumps is not None and n >= 2:
+        # row k gains C(k, j) c_j in column i = k - j for every j >= 2
+        c = levy_moments(spec.jumps, n)
+        k, i = np.tril_indices(n + 1, -2)
+        g[k, i] += _pascal()[k, k - i] * c[k - i]
     g.setflags(write=False)
     return g
 

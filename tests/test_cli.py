@@ -117,6 +117,17 @@ class TestPriceCommand:
         assert code == 0
         assert capsys.readouterr().err == ""
 
+    def test_steep_jump_model_prices(self, capsys):
+        # a valid steep NIG law once failed its moment check (exit 3)
+        code = main([
+            "price", "--model", "jd", "--nig", "80", "0", "0", "0.1",
+            "--b0", "-0.02", "--b1", "0.01", "--sigma0", "0.49", "--y0", "2",
+            "--maturity", "2", "--m", "1", "--strike", "2", "--order", "12",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "price:" in captured.out
+
     def test_greeks_flag(self, capsys):
         code = main([
             "price", "--model", "ou", "--b0", "-0.02", "--b1", "0.01",

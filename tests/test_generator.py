@@ -21,7 +21,12 @@ from asianhermite import (
     moment,
     moment_vector,
 )
-from asianhermite.generator import MAX_GENERATOR_ORDER, levy_moment_quadrature
+from asianhermite.generator import (
+    MAX_GENERATOR_ORDER,
+    _levy_abs_moment_quadrature,
+    _levy_table,
+    levy_moment_quadrature,
+)
 
 NIG_REF = NigParams(alpha=1.0, beta=0.0, mu=0.0, delta=0.05)
 
@@ -72,6 +77,52 @@ def jd_moments_by_cumulants(spec, tau, y, n_max):
     return moments
 
 
+def symmetric_levy_moment(params, m):
+    """Even Levy moment of a beta = 0 NIG law: delta (2j)! |C(1/2, j)| alpha^(1-2j), m = 2j."""
+    j = m // 2
+    binom_half = math.prod((0.5 - i) / (i + 1) for i in range(j))
+    return params.delta * math.factorial(2 * j) * abs(binom_half) * params.alpha ** (1 - 2 * j)
+
+
+def generator_loop(spec, n):
+    """Row-by-row generator build, the reference for the vectorized one."""
+    g = np.zeros((n + 1, n + 1))
+    c = levy_moments(spec.jumps, n) if spec.jumps is not None and n >= 2 else None
+    for k in range(1, n + 1):
+        g[k, k] += spec.drift_lin * k
+        g[k, k - 1] += spec.drift_const * k
+        if k >= 2:
+            g[k, k - 2] += 0.5 * spec.diff_sq * k * (k - 1)
+            if c is not None:
+                for j in range(2, k + 1):
+                    g[k, k - j] += comb(k, j) * c[j]
+    return g
+
+
+def max_order_loop(spec):
+    """The last order at which every ``C(k, j) c_j`` is finite, by a loop."""
+    if spec.jumps is None:
+        return MAX_GENERATOR_ORDER
+    c = _levy_table(spec.jumps).tolist()
+    for k in range(2, len(c)):
+        if not all(math.isfinite(comb(k, j) * c[j]) for j in range(2, k + 1)):
+            return k - 1
+    return len(c) - 1
+
+
+def quad_levy_moment(params, m):
+    """``z^m`` against the NIG Levy density by adaptive quadrature."""
+    from scipy.integrate import quad
+    from scipy.special import kve
+
+    a, b, d = params.alpha, params.beta, params.delta
+
+    def f(z):
+        return z**m * d * a / math.pi * math.exp(b * z - a * abs(z)) * kve(1, a * abs(z)) / abs(z)
+
+    return quad(f, 0.0, np.inf, limit=200)[0] + quad(f, -np.inf, 0.0, limit=200)[0]
+
+
 class TestLevyMoments:
     def test_reference_values(self):
         c = levy_moments(NIG_REF, 6)
@@ -114,10 +165,27 @@ class TestLevyMoments:
         # quadrature cannot reach these orders
         c = levy_moments(params, 40)
         for j in range(1, 21):
-            binom_half = math.prod((0.5 - i) / (i + 1) for i in range(j))
-            expected = params.delta * math.factorial(2 * j) * abs(binom_half) * params.alpha ** (1 - 2 * j)
-            assert c[2 * j] == pytest.approx(expected, rel=1e-12)
+            assert c[2 * j] == pytest.approx(symmetric_levy_moment(params, 2 * j), rel=1e-12)
         assert np.all(c[3::2] == 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.005, 1.0, 2.5, 50.0, 80.0])
+    @pytest.mark.parametrize("delta", [0.05, 1.0])
+    def test_rule_matches_symmetric_closed_form(self, alpha, delta):
+        # the same beta = 0 closed form, now against the double-exponential
+        # rule at the orders the moment check compares
+        params = NigParams(alpha=alpha, beta=0.0, mu=0.0, delta=delta)
+        for m in (2, 4, 6):
+            assert levy_moment_quadrature(params, m) == pytest.approx(symmetric_levy_moment(params, m), rel=1e-11)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("skew", [0.0, 0.5, -0.9])
+    def test_rule_matches_adaptive_quadrature(self, alpha, skew):
+        # where adaptive quadrature is accurate, both rules agree to 1e-10
+        # of the absolute moment (odd moments of a symmetric law vanish)
+        params = NigParams(alpha=alpha, beta=skew * alpha, mu=0.0, delta=0.1)
+        for m in range(2, 7):
+            scale = _levy_abs_moment_quadrature(params, m)
+            assert abs(levy_moment_quadrature(params, m) - quad_levy_moment(params, m)) <= 1e-10 * scale
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -208,8 +276,29 @@ class TestOrderLimit:
             generator_matrix(spec, n)
         assert calls == [2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("params", [
+        NigParams(alpha=80.0, beta=0.0, mu=0.0, delta=0.1),
+        NigParams(alpha=0.005, beta=-0.0045, mu=0.0, delta=0.1),
+    ])
+    def test_valid_edge_parameters_pass_the_check(self, params):
+        # adaptive quadrature once missed c_6 (alpha = 80) and c_5
+        # (alpha = 0.005) by more than 1e-6 and raised NumericalError
+        g = generator_matrix(ModelSpec(0.0, 0.0, 0.5, params), 8)
+        assert np.all(np.isfinite(g))
+
+    def test_perturbed_table_is_caught(self, monkeypatch):
+        from asianhermite import generator
+
+        params = NigParams(alpha=1.1, beta=0.3, mu=0.0, delta=0.2)
+        c = generator._nig_cumulants(params)
+        generator._validate_levy_table.__wrapped__(params)
+        c[4] *= 1.0 + 1e-5
+        monkeypatch.setattr(generator, "_levy_table", lambda p: c)
+        with pytest.raises(NumericalError, match="jump moment m=4"):
+            generator._validate_levy_table.__wrapped__(params)
+
     def test_import_defers_quadrature(self):
-        # scipy.integrate is loaded only when a jump model is validated
+        # the moment check needs scipy.special only, once per parameter set
         script = (
             "import sys\n"
             "import asianhermite as ah\n"
@@ -224,15 +313,16 @@ class TestOrderLimit:
             "generator.levy_moment_quadrature = lambda p, m: calls.append(m) or original(p, m)\n"
             "nig = ah.NigParams(1.0, 0.0, 0.0, 0.05)\n"
             "ah.generator_matrix(ah.ModelSpec(0.0, 0.0, 0.49, nig), 8)\n"
-            "assert 'scipy.integrate' in sys.modules\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
             "assert calls == [2, 3, 4, 5, 6], calls\n"
         )
         _run_fresh(script)
 
-    def test_scipy_loads_only_where_called(self):
-        # the package, the CLI and Monte Carlo load no SciPy; the series
-        # loads scipy.linalg and scipy.special, and only a jump model's
-        # moment check loads scipy.integrate
+    def test_scipy_loads_only_where_called(self, tmp_path):
+        # the package, the CLI and Monte Carlo load no SciPy; the series,
+        # jump models and the run command included, loads scipy.linalg and
+        # scipy.special and never scipy.integrate
         script = (
             "import sys\n"
             "def scipy_modules():\n"
@@ -252,7 +342,12 @@ class TestOrderLimit:
             "assert 'scipy.special' in sys.modules\n"
             "assert 'scipy.integrate' not in sys.modules\n"
             "ah.generator_matrix(jd, 8)\n"
-            "assert 'scipy.integrate' in sys.modules\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "ah.asian_price(ah.PriceRequest(2.0, 0.0, 0.0, (1.0, 2.0), basis, jd, 2.0))\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            f"assert asianhermite.cli.main(['run', 'fig8', '--no-mc', '--out', {str(tmp_path)!r}]) == 0\n"
+            "top = {m.split('.')[1] for m in scipy_modules() if m.count('.') == 1}\n"
+            "assert not {'integrate', 'optimize', 'sparse'} & top, sorted(top)\n"
         )
         _run_fresh(script)
 
@@ -267,6 +362,21 @@ def _run_fresh(script: str) -> None:
 
 
 class TestGeneratorMatrix:
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(-0.02, 0.01, 0.98),
+        ModelSpec(-0.02, 0.01, 0.49, NIG_REF),
+        ModelSpec(0.1, -0.3, 0.2, NigParams(alpha=2.0, beta=0.8, mu=0.1, delta=0.3)),
+        ModelSpec(-0.02, 0.01, 0.49, NigParams(alpha=0.01, beta=0.0, mu=0.0, delta=0.05)),
+    ], ids=["ou", "fig8", "skewed", "alpha-0.01"])
+    def test_matches_loop_oracle(self, spec):
+        # each entry is summed in the loop's order, so the build is equal to
+        # it bit for bit; a lower order is a leading block of a higher one
+        limit = max_order(spec)
+        assert limit == max_order_loop(spec)
+        for n in (0, 1, 2, 3, 7, limit):
+            g = generator_matrix(spec, n)
+            assert g.tobytes() == generator_loop(spec, n).tobytes(), n
+
     def test_brownian_order_two(self, bm_model):
         g = generator_matrix(bm_model, 2)
         np.testing.assert_array_equal(g, [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
