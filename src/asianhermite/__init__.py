@@ -54,6 +54,7 @@ from .pricing import (
     default_drift,
     delta,
     european_price,
+    gamma,
     stopping_criterion,
     theta,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "delta",
     "error_constant",
     "european_price",
+    "gamma",
     "gaussian_call",
     "generator_matrix",
     "ghp_eval",

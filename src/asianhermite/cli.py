@@ -50,6 +50,7 @@ from .pricing import (
     default_drift,
     delta,
     european_price,
+    gamma,
     stopping_criterion,
     theta,
 )
@@ -312,12 +313,12 @@ def _run_pricing_cell(exp: PricingExperiment, engine, times, m, order, drift, la
     rows = []
     for n in range(order + 1):
         price_n = float(report.price_by_N[n])
-        gamma = None
+        accuracy = None
         if exact is not None and exact != 0 and math.isfinite(price_n):
-            gamma = accuracy_gamma(exact, price_n)
+            accuracy = accuracy_gamma(exact, price_n)
         gt = float(report.gamma_tilde[n]) if n >= 1 else None
         rows.append((exp.experiment, _model_label(exp.model), strike, drift, scale, n, m,
-                     price_n, gamma, gt, *mc, n == report.chosen_N, wall_ms))
+                     price_n, accuracy, gt, *mc, n == report.chosen_N, wall_ms))
     return rows
 
 
@@ -537,6 +538,7 @@ def cmd_price(args) -> int:
     print(f"gamma_tilde trace: {trace}")
     if args.greeks:
         print(f"delta: {delta(request, engine=engine)!r}")
+        print(f"gamma: {gamma(request, engine=engine)!r}")
         for j in range(m + 1):
             print(f"theta[{j}]: {theta(request, j, engine=engine)!r}")
     if exp.mc is not None:

@@ -19,6 +19,10 @@ import numpy as np
 # moments overflow earlier have a lower limit, see ``max_order``.
 MAX_GENERATOR_ORDER = 200
 
+# Parameter sets whose Levy table, moment check and order limit stay cached;
+# a long-lived process pricing fresh parameters evicts the oldest.
+PARAMETER_CACHE_SIZE = 128
+
 
 class NumericalError(RuntimeError):
     """A linear-algebra kernel produced non-finite output."""
@@ -169,14 +173,14 @@ def _levy_abs_moment_quadrature(params: NigParams, m: int) -> float:
     return _density_integral(params, lambda z: abs(z) ** m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def _levy_table(params: NigParams) -> np.ndarray:
     c = _nig_cumulants(params)
     c.setflags(write=False)
     return c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def _validate_levy_table(params: NigParams) -> None:
     # guard against derivation slips in the recursion; the absolute moment
     # sets the scale so symmetric (exact-zero) moments check too
@@ -204,7 +208,7 @@ def _pascal() -> np.ndarray:
     return p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def max_order(spec: ModelSpec) -> int:
     """Highest generator order whose matrix is finite in double precision.
 
@@ -229,7 +233,8 @@ def levy_moments(params: NigParams, n_max: int) -> np.ndarray:
     ``c[m]`` is the integral of ``z^m`` against the Levy measure.  The
     cumulant table is computed once per parameter set and sliced.  Its low
     orders are cross-checked against a double-exponential rule on the Levy
-    density, also once per parameter set.
+    density, also once per parameter set.  Both stay cached for the last
+    ``PARAMETER_CACHE_SIZE`` parameter sets.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")

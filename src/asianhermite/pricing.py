@@ -2,9 +2,10 @@
 
 Every price needs only the moments of the average of the sampled values:
 :func:`_average_moments` computes them (one sampling time is the European
-case) and :func:`_order_limit` bounds their order.  Partial sums over
-every truncation order are always produced, because the working stopping
-rule and the divergence diagnostics both live on the increment sequence.
+case) and :func:`_order_limit` bounds their order; delta and gamma read the
+same moments.  Partial sums over every truncation order are always
+produced, because the working stopping rule and the divergence diagnostics
+both live on the increment sequence.
 """
 
 from __future__ import annotations
@@ -218,16 +219,17 @@ def _recentered_expectations(moments: np.ndarray, drift: float, scale: float) ->
     return out
 
 
-def _series_partial_sums(moments: np.ndarray, basis: GhpBasis, strike: float) -> np.ndarray:
-    """Partial sums of the payoff series from the moments of the underlying value.
+def _series_partial_sums(moments: np.ndarray, basis: GhpBasis,
+                         coefficients: np.ndarray) -> np.ndarray:
+    """Partial sums of ``sum_n coefficients[n] E[q_n((X - a) / b)]`` from the moments of ``X``.
 
     Row ``n`` of the change-of-basis matrix turns the recentered moments into
-    the expected n-th polynomial, so the price increments are coefficient
-    times expectation, accumulated in order.
+    the expected n-th polynomial, so the increments are coefficient times
+    expectation, accumulated in order.
     """
     centered = _recentered_expectations(moments, basis.drift, basis.scale)
     expect = change_of_basis(basis.order) @ centered
-    return np.cumsum(payoff_coefficients(strike, basis).beta * expect)
+    return np.cumsum(coefficients * expect)
 
 
 def _build_report(partial: np.ndarray) -> PriceReport:
@@ -292,12 +294,27 @@ def _average_moments(engine: CorrelatorEngine, t: float, y_t: float,
     return cached[: order + 1]
 
 
-def _price(request: PriceRequest, engine: CorrelatorEngine | None) -> PriceReport:
-    """Discounted partial sums and stopping decision from the moments of the average."""
+def _discounted_sums(request: PriceRequest, engine: CorrelatorEngine | None,
+                     k: int = 0) -> np.ndarray:
+    """Discounted partial sums of the ``k``-th derivative in ``y_t`` of the payoff series.
+
+    ``k = 0`` is the price.  Given ``Y(t) = y`` the average is ``A(0) + c y``
+    with ``c`` the mean of ``exp(b1 (s_j - t))``, so with the basis held
+    fixed ``d/dy`` acts on the series as ``c / b`` times ``d/dz``, and
+    ``q_n' = n q_{n-1}`` turns each ``d/dz`` into a shift of the payoff
+    coefficients.  Every derivative thus runs on the price's own moments.
+    """
     engine = _engine_for(request.model, engine)
-    moments = _average_moments(engine, request.t, request.y_t, request.times, request.basis.order)
-    partial = request.discount * _series_partial_sums(moments, request.basis, request.strike)
-    return _build_report(partial)
+    basis = request.basis
+    moments = _average_moments(engine, request.t, request.y_t, request.times, basis.order)
+    coefficients = payoff_coefficients(request.strike, basis).beta
+    factor = request.discount
+    if k:
+        slope = fsum(math.exp(request.model.drift_lin * (s - request.t)) for s in request.times)
+        factor *= (slope / (request.m + 1) / basis.scale) ** k
+    for _ in range(k):
+        coefficients = np.append(np.arange(1, coefficients.size) * coefficients[1:], 0.0)
+    return factor * _series_partial_sums(moments, basis, coefficients)
 
 
 def european_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -> PriceReport:
@@ -308,7 +325,7 @@ def european_price(request: PriceRequest, engine: CorrelatorEngine | None = None
     """
     if request.m != 0:
         raise ValueError("european pricing takes exactly one sampling time")
-    return _price(request, engine)
+    return _build_report(_discounted_sums(request, engine))
 
 
 def asian_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -> PriceReport:
@@ -319,26 +336,25 @@ def asian_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -
     Passing a shared engine reuses the moments across strikes and scales,
     which do not enter them.
     """
-    return _price(request, engine)
-
-
-def _sensitivity(request: PriceRequest, derivative) -> float:
-    """Full-order discounted series assembled on the correlator derivatives ``derivative``."""
-    d_moments = _expanded_moments(request.model, request.t, request.y_t, request.times,
-                                  derivative, range(request.basis.order + 1))
-    partial = _series_partial_sums(d_moments, request.basis, request.strike)
-    return request.discount * float(partial[-1])
+    return _build_report(_discounted_sums(request, engine))
 
 
 def delta(request: PriceRequest, engine: CorrelatorEngine | None = None) -> float:
     """Sensitivity of the full-order price to the current state ``y_t``.
 
-    Only the correlators depend on the state, so the same series assembly
-    runs on their state derivatives.  The basis is held fixed: a drift
-    policy that pegs ``a`` to the forward mean is resolved before, not
-    inside, the differentiation.
+    Read off the moments the price uses, cached on ``engine``.  This holds
+    because the drift is affine and neither diffusion nor jumps depend on
+    the state, as for every :class:`ModelSpec`: the state then shifts the
+    whole path by a deterministic multiple of ``y_t``.  The basis is held
+    fixed: a drift policy that pegs ``a`` to the forward mean is resolved
+    before, not inside, the differentiation.
     """
-    return _sensitivity(request, _engine_for(request.model, engine).derivative_state)
+    return float(_discounted_sums(request, engine, 1)[-1])
+
+
+def gamma(request: PriceRequest, engine: CorrelatorEngine | None = None) -> float:
+    """Second derivative of the full-order price in ``y_t``, as :func:`delta` with the basis fixed."""
+    return float(_discounted_sums(request, engine, 2)[-1])
 
 
 def theta(request: PriceRequest, j: int, engine: CorrelatorEngine | None = None) -> float:
@@ -351,7 +367,11 @@ def theta(request: PriceRequest, j: int, engine: CorrelatorEngine | None = None)
     if not 0 <= j <= request.m:
         raise ValueError(f"time index {j} out of range for m={request.m}")
     engine = _engine_for(request.model, engine)
-    out = _sensitivity(request, lambda query: engine.derivative_time(query, j))
+    d_moments = _expanded_moments(request.model, request.t, request.y_t, request.times,
+                                  lambda query: engine.derivative_time(query, j),
+                                  range(request.basis.order + 1))
+    beta = payoff_coefficients(request.strike, request.basis).beta
+    out = request.discount * float(_series_partial_sums(d_moments, request.basis, beta)[-1])
     if j == request.m and request.rate != 0.0:
         value = asian_price(request, engine=engine).price_at_order
         out -= request.rate * value

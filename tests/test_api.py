@@ -12,7 +12,7 @@ PUBLIC = [
     "PriceReport", "PriceRequest", "StoppingDecision", "accuracy_gamma", "asian_price",
     "average_std", "change_of_basis", "correlator", "correlator_kronecker_reference",
     "correlator_tower_oracle", "default_drift", "delta", "error_constant",
-    "european_price", "gaussian_call", "generator_matrix", "ghp_eval", "ghp_norm_sq",
+    "european_price", "gamma", "gaussian_call", "generator_matrix", "ghp_eval", "ghp_norm_sq",
     "hermite_eval", "levy_moments", "matrix_exponential", "max_order", "mc_price",
     "moment", "moment_vector", "ou_asian_law", "payoff_coefficients", "payoff_l2_error",
     "payoff_series_eval", "scale_floor", "simulate_paths", "std_normal",

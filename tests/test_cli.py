@@ -136,7 +136,8 @@ class TestPriceCommand:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "delta:" in out
+        lines = [line.split(":")[0] for line in out.splitlines()]
+        assert lines.index("gamma") == lines.index("delta") + 1
         assert "theta[0]:" in out
         assert "theta[1]:" in out
 

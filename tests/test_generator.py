@@ -276,6 +276,31 @@ class TestOrderLimit:
             generator_matrix(spec, n)
         assert calls == [2, 3, 4, 5, 6]
 
+    def test_parameter_caches_are_bounded(self, monkeypatch):
+        from asianhermite import generator
+
+        caches = (generator._levy_table, generator._validate_levy_table, generator.max_order)
+        bound = generator.PARAMETER_CACHE_SIZE
+        for i in range(bound + 50):
+            params = NigParams(alpha=1.0 + i / 1000, beta=0.0, mu=0.0, delta=0.0123)
+            levy_moments(params, 4)
+            max_order(ModelSpec(0.0, 0.0, 0.5, params))
+            assert all(cache.cache_info().currsize <= bound for cache in caches)
+        calls = []
+        original = generator.levy_moment_quadrature
+
+        def counting(params, m):
+            calls.append(m)
+            return original(params, m)
+
+        monkeypatch.setattr(generator, "levy_moment_quadrature", counting)
+        params = NigParams(alpha=1.9, beta=0.1, mu=0.0, delta=0.0123)
+        levy_moments(params, 4)
+        hits = generator._validate_levy_table.cache_info().hits
+        levy_moments(params, 4)
+        assert generator._validate_levy_table.cache_info().hits == hits + 1
+        assert calls == [2, 3, 4, 5, 6]
+
     @pytest.mark.parametrize("params", [
         NigParams(alpha=80.0, beta=0.0, mu=0.0, delta=0.1),
         NigParams(alpha=0.005, beta=-0.0045, mu=0.0, delta=0.1),

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from asianhermite import (
     GaussianLaw,
     GhpBasis,
     ModelSpec,
+    NigParams,
     PriceReport,
     PriceRequest,
     asian_price,
@@ -16,15 +18,34 @@ from asianhermite import (
     default_drift,
     delta,
     european_price,
+    gamma,
     gaussian_call,
     moment,
     ou_asian_law,
+    payoff_coefficients,
     scale_floor,
     std_normal,
     stopping_criterion,
     theta,
 )
-from asianhermite.pricing import _gamma_tilde, multinomial_expand
+from asianhermite.pricing import (
+    _expanded_moments,
+    _gamma_tilde,
+    _series_partial_sums,
+    multinomial_expand,
+)
+
+# a NIG model whose series at the orders below still converge
+NIG_LIGHT = ModelSpec(-0.02, 0.01, 0.49, NigParams(alpha=2.0, beta=0.0, mu=0.0, delta=0.05))
+
+
+def book_request(model, m, order, z, rate=0.0, engine=None):
+    """From ``y_t = 2`` at ``K = mean + z std`` on ``m + 1`` times to 2, basis at twice the scale floor."""
+    times = tuple(2.0 * (j + 1) / (m + 1) for j in range(m + 1))
+    a = default_drift(model, 0.0, 2.0, times)
+    s = average_std(model, 0.0, 2.0, times, engine=engine)
+    basis = GhpBasis(drift=a, scale=2.0 * scale_floor(s), order=order)
+    return PriceRequest(a + z * s, rate, 0.0, times, basis, model, 2.0)
 
 
 def report_from(partial):
@@ -420,6 +441,67 @@ class TestGreeks:
         ).price_at_order
         fd = (up - dn) / (2 * h)
         assert theta(req, 0) == pytest.approx(fd, rel=1e-5)
+
+    @pytest.mark.parametrize("kind, m, order", [
+        ("ou", 0, 40), ("ou", 1, 40), ("ou", 2, 20), ("ou", 3, 16),
+        # NIG at m = 1, N = 40 diverges and its two deltas part at 5e-8
+        ("nig", 0, 40), ("nig", 2, 20), ("nig", 3, 16),
+    ])
+    def test_delta_matches_state_derivative_chains(self, ou_model, kind, m, order):
+        # the reference differentiates every correlator chain in the state
+        model = ou_model if kind == "ou" else NIG_LIGHT
+        engine = CorrelatorEngine(model)
+        for z in (0.0, 0.7):
+            req = book_request(model, m, order, z, rate=0.03, engine=engine)
+            d_moments = _expanded_moments(model, req.t, req.y_t, req.times,
+                                          engine.derivative_state, range(order + 1))
+            beta = payoff_coefficients(req.strike, req.basis).beta
+            chains = req.discount * _series_partial_sums(d_moments, req.basis, beta)[-1]
+            assert delta(req, engine=engine) == pytest.approx(chains, rel=1e-9)
+
+    @pytest.mark.parametrize("m", (0, 1))
+    def test_greeks_reuse_the_price_moments(self, ou_model, monkeypatch, m):
+        from asianhermite import correlators, generator
+
+        calls = []
+
+        def counting(owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                calls.append(attr)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        for owner in (generator, correlators):
+            counting(owner, "matrix_exponential")
+        counting(CorrelatorEngine, "_chain")
+        engine = CorrelatorEngine(ou_model)
+        req = book_request(ou_model, m, 40, 0.3, engine=engine)
+        asian_price(req, engine=engine)
+        calls.clear()
+        delta(req, engine=engine)
+        gamma(req, engine=engine)
+        assert calls == []
+
+    @pytest.mark.parametrize("m", (0, 1))
+    def test_gamma_ou_closed_form(self, ou_model, m):
+        # the OU average is Gaussian with a mean linear in the state, slope c,
+        # so the call's second derivative is disc c^2 phi(z) / sigma_A
+        req = book_request(ou_model, m, 40, 0.3, rate=0.03)
+        law = ou_asian_law(ou_model, 0.0, req.y_t, req.times)
+        slope = ou_asian_law(ou_model, 0.0, req.y_t + 1.0, req.times).mean - law.mean
+        pdf, _ = std_normal((req.strike - law.mean) / law.std)
+        exact = req.discount * slope**2 * pdf / law.std
+        assert gamma(req) == pytest.approx(exact, rel=1e-6)
+
+    def test_gamma_matches_difference_of_delta(self):
+        engine = CorrelatorEngine(NIG_LIGHT)
+        req = book_request(NIG_LIGHT, 2, 16, 0.4, engine=engine)
+        h = 1e-4
+        up, dn = (delta(replace(req, y_t=req.y_t + d), engine=engine) for d in (h, -h))
+        assert gamma(req, engine=engine) == pytest.approx((up - dn) / (2 * h), rel=1e-6)
 
     def test_theta_index_validated(self, ou_model):
         basis = GhpBasis(drift=2.0, scale=1.6, order=4)
