@@ -555,6 +555,10 @@ def cmd_price(args) -> int:
 
 
 def cmd_run(args) -> int:
+    sizes = [flag for flag, value in (("--mc-paths", args.mc_paths), ("--mc-batches", args.mc_batches))
+             if value is not None]
+    if args.no_mc and sizes:
+        raise ConfigError(f"mc: --no-mc cannot be combined with {' and '.join(sizes)}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -562,7 +566,7 @@ def cmd_run(args) -> int:
         cfg["max_order"] = args.max_order
     if args.no_mc:
         cfg["mc"] = None
-    if args.mc_paths is not None or args.mc_batches is not None:
+    elif sizes:
         mc = cfg.get("mc") or {}
         if args.mc_paths is not None:
             mc["paths"] = args.mc_paths

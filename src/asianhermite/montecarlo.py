@@ -4,13 +4,15 @@ The Gaussian models are sampled exactly at the monitoring grid.  Jump
 models take Euler steps for drift and diffusion on a refined grid, with the
 jump increment over each step drawn exactly by inverse-Gaussian
 subordination and recentred by its analytic mean so the simulated jump
-part is a martingale, matching the compensated-measure dynamics.
+part is a martingale, matching the compensated-measure dynamics.  Given
+the subordinator S the diffusion and jump noises are independent
+Gaussians, so each substep draws S and one standard normal Z and adds
+``sqrt(diff_sq * dt + S) * Z``.
 
-``mc_price`` splits the paths into batches, each drawn from its own
-counter-based Philox substream spawned from the seed.  The batches run
-concurrently on threads, and because no batch shares a stream with
-another the estimate equals the serial loop's bit for bit, whatever the
-number of workers.
+``mc_price`` splits the paths into batches, each drawn from its own PCG64
+substream spawned from the seed.  The batches run concurrently on
+threads, and because no batch shares a stream with another the estimate
+equals the serial loop's bit for bit, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -75,43 +77,30 @@ def _euler_jump_path(
     substeps: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    b0, b1, s0 = spec.drift_const, spec.drift_lin, spec.diff_sq
     jumps = spec.jumps
     dt = (t1 - t0) / substeps
-    diff_dt = math.sqrt(s0) * math.sqrt(dt)
-    if jumps is not None:
-        # exact NIG increment over dt: inverse-Gaussian subordinator, then
-        # conditionally Gaussian; subtracting the analytic mean makes the
-        # jump part a martingale
-        gam = jumps.gamma
-        ig_mean = jumps.delta * dt / gam
-        ig_shape = (jumps.delta * dt) ** 2
-        mu_dt = jumps.mu * dt
-        comp = (jumps.mu + jumps.delta * jumps.beta / gam) * dt
-    # y <- y + (b0 + b1*y)*dt + diff_dt*Z + ((mu_dt + beta*S) + sqrt(S)*Z') - comp,
-    # evaluated in place term by term in exactly that order
+    gam = jumps.gamma
+    # exact NIG increment over dt: mu*dt + beta*S + sqrt(S)*Z' with S
+    # inverse-Gaussian; the compensator (mu + delta*beta/gam)*dt cancels mu
+    ig_mean = jumps.delta * dt / gam
+    ig_shape = (jumps.delta * dt) ** 2
+    growth = 1.0 + spec.drift_lin * dt
+    shift = (spec.drift_const - jumps.delta * jumps.beta / gam) * dt
+    diff_var = spec.diff_sq * dt
+    # y <- y*growth + shift + beta*S + sqrt(diff_var + S)*Z, in place in that order
     y = y.copy()
     z = np.empty_like(y)
-    tmp = np.empty_like(y)
     for _ in range(substeps):
-        np.multiply(y, b1, out=tmp)
-        tmp += b0
-        tmp *= dt
-        y += tmp
-        if s0 > 0.0:
-            rng.standard_normal(out=z)
-            z *= diff_dt
-            y += z
-        if jumps is not None:
-            incr = rng.wald(ig_mean, ig_shape, size=y.shape)  # S, made the increment in place
-            rng.standard_normal(out=z)
-            np.sqrt(incr, out=tmp)
-            tmp *= z
-            incr *= jumps.beta
-            incr += mu_dt
-            incr += tmp
-            y += incr
-            y -= comp
+        s = rng.wald(ig_mean, ig_shape, size=y.shape)
+        rng.standard_normal(out=z)
+        y *= growth
+        y += shift
+        if jumps.beta != 0.0:
+            y += jumps.beta * s
+        s += diff_var
+        np.sqrt(s, out=s)
+        s *= z
+        y += s
     return y
 
 
@@ -137,13 +126,18 @@ def _simulate(
     return out
 
 
+def _generator(stream: np.random.SeedSequence) -> np.random.Generator:
+    """The generator every path batch draws from: PCG64 on its own stream."""
+    return np.random.default_rng(stream)
+
+
 def simulate_paths(
     spec: ModelSpec, t: float, y_t: float, times, cfg: McConfig
 ) -> np.ndarray:
     """Sample the process at the monitoring times; one row per path."""
     times = _sampling_grid(t, times)
     scheme = "exact-ou" if spec.jumps is None else "euler-jump"
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+    rng = _generator(np.random.SeedSequence(cfg.seed))
     return _simulate(spec, t, y_t, times, cfg.paths, scheme, cfg.refine, rng)
 
 
@@ -156,7 +150,7 @@ def _usable_cpus() -> int:
 def mc_price(spec: ModelSpec, request: PriceRequest, cfg: McConfig) -> McEstimate:
     """Discounted mean call payoff on the discrete average, batched.
 
-    Each batch runs on its own counter-based Philox substream, so batches
+    Each batch draws from its own spawned PCG64 substream, so batches
     run concurrently on a thread pool of ``min(batches, usable CPUs)``
     workers (numpy's draws and ufuncs release the GIL) and the estimate is
     bit-identical to running them one after another.  The standard error
@@ -171,7 +165,7 @@ def mc_price(spec: ModelSpec, request: PriceRequest, cfg: McConfig) -> McEstimat
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
 
     def batch_mean(stream: np.random.SeedSequence) -> float:
-        rng = np.random.Generator(np.random.Philox(stream))
+        rng = _generator(stream)
         values = _simulate(
             spec, request.t, request.y_t, request.times, cfg.paths, scheme, cfg.refine, rng
         )

@@ -270,6 +270,18 @@ class TestRunCommand:
         assert all(r["mc_mean"] != "" for r in rows)
         assert all(float(r["mc_lo"]) <= float(r["mc_mean"]) <= float(r["mc_hi"]) for r in rows)
 
+    @pytest.mark.parametrize("sizes", [["--mc-paths", "50"], ["--mc-batches", "2"],
+                                       ["--mc-paths", "50", "--mc-batches", "2"]],
+                             ids=["paths", "batches", "both"])
+    def test_no_mc_with_mc_sizes_refused(self, sizes, tmp_path, capsys):
+        # a size flag must not bring back the Monte Carlo that --no-mc turns off
+        code = main(["run", "fig8", "--out", str(tmp_path), "--no-mc", "--max-order", "2"] + sizes)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: mc: --no-mc cannot be combined with ")
+        assert all(flag in err for flag in sizes[::2])
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_order_cap_reported_once_per_m(self, tmp_path, capsys):
         # alpha = 0.01 puts this model's order limit at 89
         cfg = tiny_config(

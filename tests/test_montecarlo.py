@@ -11,6 +11,7 @@ from asianhermite import (
     PriceRequest,
     accuracy_gamma,
     gaussian_call,
+    levy_moments,
     mc_price,
     moment,
     ou_asian_law,
@@ -88,7 +89,7 @@ class TestSimulatePaths:
         spec = ModelSpec(-0.02, 0.01, diff_sq, NigParams(*nig))
         times = (0.7, 2.0)
         cfg = McConfig(paths=1000, batches=1, seed=21, refine=13)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+        rng = montecarlo._generator(np.random.SeedSequence(cfg.seed))
         expected = np.empty((cfg.paths, len(times)))
         y = np.full(cfg.paths, 2.0)
         for j, (t0, t1) in enumerate(zip((0.0,) + times, times)):
@@ -97,26 +98,42 @@ class TestSimulatePaths:
         got = simulate_paths(spec, 0.0, 2.0, times, cfg)
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.3), (2.0, 0.5, 0.1, 0.3)])
+    @pytest.mark.parametrize("diff_sq", [0.49, 0.0])
+    def test_one_substep_law(self, nig, diff_sq):
+        # one Euler substep from a fixed y has mean (b0 + b1*y)*dt, variance
+        # (diff_sq + c2)*dt and third central moment c3*dt, to 4 standard errors
+        spec = ModelSpec(-0.02, 0.01, diff_sq, NigParams(*nig))
+        y0, dt, n = 2.0, 0.5, 200_000
+        rng = montecarlo._generator(np.random.SeedSequence(31))
+        x = montecarlo._euler_jump_path(spec, np.full(n, y0), 0.0, dt, 1, rng) - y0
+        c = levy_moments(spec.jumps, 6)
+        k2, k3, k4, k6 = (diff_sq + c[2]) * dt, c[3] * dt, c[4] * dt, c[6] * dt
+        mu4 = k4 + 3 * k2**2
+        mu6 = k6 + 15 * k4 * k2 + 10 * k3**2 + 15 * k2**3
+        d = x - x.mean()
+        checks = [
+            (x.mean(), (spec.drift_const + spec.drift_lin * y0) * dt, k2),
+            (np.mean(d**2), k2, mu4 - k2**2),
+            (np.mean(d**3), k3, mu6 - k3**2 - 6 * mu4 * k2 + 9 * k2**3),
+        ]
+        for sample, target, var in checks:
+            assert abs(sample - target) < 4 * math.sqrt(var / n)
+
 
 def _expression_form_euler(spec, y, t0, t1, substeps, rng):
     """The jump model's Euler step as one expression per term, kept as a reference."""
-    b0, b1, s0 = spec.drift_const, spec.drift_lin, spec.diff_sq
     jumps = spec.jumps
     dt = (t1 - t0) / substeps
-    sqrt_dt = math.sqrt(dt)
-    diff = math.sqrt(s0)
+    gam = jumps.gamma
     for _ in range(substeps):
-        y = y + (b0 + b1 * y) * dt
-        if s0 > 0.0:
-            y = y + diff * sqrt_dt * rng.standard_normal(y.shape)
-        gam = jumps.gamma
         subordinator = rng.wald(jumps.delta * dt / gam, (jumps.delta * dt) ** 2, size=y.shape)
-        incr = (
-            jumps.mu * dt
-            + jumps.beta * subordinator
-            + np.sqrt(subordinator) * rng.standard_normal(y.shape)
-        )
-        y = y + incr - (jumps.mu + jumps.delta * jumps.beta / gam) * dt
+        z = rng.standard_normal(y.shape)
+        y = y * (1.0 + spec.drift_lin * dt)
+        y = y + (spec.drift_const - jumps.delta * jumps.beta / gam) * dt
+        if jumps.beta != 0.0:
+            y = y + jumps.beta * subordinator
+        y = y + np.sqrt(spec.diff_sq * dt + subordinator) * z
     return y
 
 
@@ -125,7 +142,7 @@ def _serial_mc(spec, req, cfg, scheme):
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
     means = np.empty(cfg.batches)
     for b in range(cfg.batches):
-        rng = np.random.Generator(np.random.Philox(streams[b]))
+        rng = montecarlo._generator(streams[b])
         values = montecarlo._simulate(spec, req.t, req.y_t, req.times, cfg.paths, scheme,
                                       cfg.refine, rng)
         means[b] = req.discount * np.maximum(values.mean(axis=1) - req.strike, 0.0).mean()
