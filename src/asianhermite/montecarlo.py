@@ -5,9 +5,14 @@ models take Euler steps for drift and diffusion on a refined grid, with the
 jump increment over each step drawn exactly by inverse-Gaussian
 subordination and recentred by its analytic mean so the simulated jump
 part is a martingale, matching the compensated-measure dynamics.  Given
-the subordinator S the diffusion and jump noises are independent
-Gaussians, so each substep draws S and one standard normal Z and adds
-``sqrt(diff_sq * dt + S) * Z``.
+the subordinator S the diffusion and jump noises of a substep are
+independent Gaussians, and the Euler map is affine in them, so given the
+S of every substep of a monitoring interval the interval's Gaussian part
+is one normal.  Its variance is the sum over the substeps of
+``(1 + b1*dt)^(2j) * (diff_sq*dt + S)``, with j the number of substeps
+after the one that drew S.  Each substep therefore draws only S, and each
+interval draws one standard normal per path: the law at the monitoring
+dates is the Euler scheme's.
 
 ``mc_price`` splits the paths into batches, each drawn from its own PCG64
 substream spawned from the seed.  The batches run concurrently on
@@ -61,9 +66,8 @@ def _ou_step(spec: ModelSpec, y: np.ndarray, tau: float, rng: np.random.Generato
         mean = y + b0 * tau
         var = s0 * tau
     else:
-        e = math.exp(b1 * tau)
-        mean = y * e + b0 / b1 * (e - 1.0)
-        var = s0 * (math.exp(2.0 * b1 * tau) - 1.0) / (2.0 * b1)
+        mean = y * math.exp(b1 * tau) + b0 / b1 * math.expm1(b1 * tau)
+        var = s0 * math.expm1(2.0 * b1 * tau) / (2.0 * b1)
     if var <= 0.0:
         return mean
     return mean + math.sqrt(var) * rng.standard_normal(y.shape)
@@ -86,21 +90,30 @@ def _euler_jump_path(
     ig_shape = (jumps.delta * dt) ** 2
     growth = 1.0 + spec.drift_lin * dt
     shift = (spec.drift_const - jumps.delta * jumps.beta / gam) * dt
-    diff_var = spec.diff_sq * dt
-    # y <- y*growth + shift + beta*S + sqrt(diff_var + S)*Z, in place in that order
-    y = y.copy()
-    z = np.empty_like(y)
+    # substep k of K maps y to y*growth + shift + beta*S_k + sqrt(diff_sq*dt + S_k)*Z_k.
+    # Given S_1..S_K the K normals sum to one normal of variance
+    # sum growth^(2(K-1-k)) * (diff_sq*dt + S_k), so a substep draws only S_k
+    # and Horner's rule keeps var = sum growth^(2(K-1-k)) S_k and
+    # lin = sum growth^(K-1-k) S_k; the deterministic sums close at the end
+    growth_sq = growth * growth
+    var = np.zeros_like(y)
+    lin = np.zeros_like(y) if jumps.beta != 0.0 else None
     for _ in range(substeps):
         s = rng.wald(ig_mean, ig_shape, size=y.shape)
-        rng.standard_normal(out=z)
-        y *= growth
-        y += shift
-        if jumps.beta != 0.0:
-            y += jumps.beta * s
-        s += diff_var
-        np.sqrt(s, out=s)
-        s *= z
-        y += s
+        var *= growth_sq
+        var += s
+        if lin is not None:
+            lin *= growth
+            lin += s
+    y = y * growth**substeps
+    y += shift * math.fsum(growth**k for k in range(substeps))
+    if lin is not None:
+        lin *= jumps.beta
+        y += lin
+    var += spec.diff_sq * dt * math.fsum(growth ** (2 * k) for k in range(substeps))
+    np.sqrt(var, out=var)
+    var *= rng.standard_normal(y.shape)
+    y += var
     return y
 
 

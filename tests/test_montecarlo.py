@@ -70,6 +70,15 @@ class TestSimulatePaths:
         se = math.sqrt((fourth - target**2) / cfg.paths)
         assert abs(sample - target) < 3 * se
 
+    def test_ou_near_zero_rate_matches_brownian_branch(self):
+        # b1 = 1e-12 takes the OU transition, b1 = 0 the Brownian one; with
+        # expm1 the two agree to rounding on the same draws
+        times = (0.5, 1.0, 2.0)
+        cfg = McConfig(paths=1000, batches=1, seed=4)
+        ou = simulate_paths(ModelSpec(0.3, 1e-12, 0.98), 0.0, 2.0, times, cfg)
+        bm = simulate_paths(ModelSpec(0.3, 0.0, 0.98), 0.0, 2.0, times, cfg)
+        np.testing.assert_allclose(ou, bm, rtol=0.0, atol=1e-10)
+
     def test_exact_scheme_grid_invariant_in_law(self, ou_model):
         # refining the monitoring grid must not change terminal marginals
         coarse = simulate_paths(ou_model, 0.0, 2.0, (2.0,), McConfig(paths=80_000, batches=1, seed=9))
@@ -85,7 +94,7 @@ class TestSimulatePaths:
     @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.05), (2.0, 0.5, 0.1, 0.3)])
     @pytest.mark.parametrize("diff_sq", [0.49, 0.0])
     def test_jump_paths_equal_expression_form_step(self, nig, diff_sq):
-        # the in-place Euler step must round exactly like the expression form
+        # the in-place Euler interval must round exactly like the expression form
         spec = ModelSpec(-0.02, 0.01, diff_sq, NigParams(*nig))
         times = (0.7, 2.0)
         cfg = McConfig(paths=1000, batches=1, seed=21, refine=13)
@@ -97,6 +106,39 @@ class TestSimulatePaths:
             expected[:, j] = y
         got = simulate_paths(spec, 0.0, 2.0, times, cfg)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.3), (2.0, 0.5, 0.1, 0.3)])
+    @pytest.mark.parametrize("diff_sq", [0.49, 0.0])
+    def test_interval_law_matches_euler(self, nig, diff_sq):
+        # 13 Euler substeps at growth 1 + b1*dt = 0.95 weigh the substeps'
+        # increments by unequal powers of growth; the interval's mean, variance
+        # and third central moment match the scheme's closed forms to 4
+        # standard errors
+        spec = ModelSpec(-0.02, -0.5, diff_sq, NigParams(*nig))
+        y0, tau, substeps, n = 2.0, 1.3, 13, 200_000
+        dt = tau / substeps
+        growth = 1.0 + spec.drift_lin * dt
+        rng = montecarlo._generator(np.random.SeedSequence(32))
+        x = montecarlo._euler_jump_path(spec, np.full(n, y0), 0.0, tau, substeps, rng)
+
+        def power_sum(p):
+            return math.fsum(growth ** (p * k) for k in range(substeps))
+
+        c = levy_moments(spec.jumps, 6)
+        k2 = (diff_sq + c[2]) * dt * power_sum(2)
+        k3, k4, k6 = (c[p] * dt * power_sum(p) for p in (3, 4, 6))
+        mu4 = k4 + 3 * k2**2
+        mu6 = k6 + 15 * k4 * k2 + 10 * k3**2 + 15 * k2**3
+        # shift + beta*E[S] = b0*dt: the compensator cancels the jumps' mean
+        mean = growth**substeps * y0 + spec.drift_const * dt * power_sum(1)
+        d = x - x.mean()
+        checks = [
+            (x.mean(), mean, k2),
+            (np.mean(d**2), k2, mu4 - k2**2),
+            (np.mean(d**3), k3, mu6 - k3**2 - 6 * mu4 * k2 + 9 * k2**3),
+        ]
+        for sample, target, var in checks:
+            assert abs(sample - target) < 4 * math.sqrt(var / n)
 
     @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.3), (2.0, 0.5, 0.1, 0.3)])
     @pytest.mark.parametrize("diff_sq", [0.49, 0.0])
@@ -122,18 +164,28 @@ class TestSimulatePaths:
 
 
 def _expression_form_euler(spec, y, t0, t1, substeps, rng):
-    """The jump model's Euler step as one expression per term, kept as a reference."""
+    """One monitoring interval of the jump model's Euler scheme, one expression per term.
+
+    Given the subordinator draws S_k, the substeps' normals sum to one normal
+    of variance sum growth^(2(K-1-k)) * (diff_sq*dt + S_k); kept as a reference.
+    """
     jumps = spec.jumps
     dt = (t1 - t0) / substeps
     gam = jumps.gamma
+    growth = 1.0 + spec.drift_lin * dt
+    var = np.zeros_like(y)
+    lin = np.zeros_like(y)
     for _ in range(substeps):
         subordinator = rng.wald(jumps.delta * dt / gam, (jumps.delta * dt) ** 2, size=y.shape)
-        z = rng.standard_normal(y.shape)
-        y = y * (1.0 + spec.drift_lin * dt)
-        y = y + (spec.drift_const - jumps.delta * jumps.beta / gam) * dt
-        if jumps.beta != 0.0:
-            y = y + jumps.beta * subordinator
-        y = y + np.sqrt(spec.diff_sq * dt + subordinator) * z
+        var = var * (growth * growth) + subordinator
+        lin = lin * growth + subordinator
+    y = y * growth**substeps
+    shift = (spec.drift_const - jumps.delta * jumps.beta / gam) * dt
+    y = y + shift * math.fsum(growth**k for k in range(substeps))
+    if jumps.beta != 0.0:
+        y = y + jumps.beta * lin
+    var = var + spec.diff_sq * dt * math.fsum(growth ** (2 * k) for k in range(substeps))
+    y = y + np.sqrt(var) * rng.standard_normal(y.shape)
     return y
 
 
