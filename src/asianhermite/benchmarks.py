@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .generator import ModelSpec, _sampling_grid
+from .generator import ModelSpec, NumericalError, _require_finite, _sampling_grid, levy_moments
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hermite import GhpBasis
@@ -46,6 +46,7 @@ class GaussianLaw:
     std: float
 
     def __post_init__(self):
+        _require_finite(self, "mean", "std")
         if not self.std > 0:
             raise ValueError("standard deviation must be positive")
 
@@ -57,42 +58,48 @@ def gaussian_call(law: GaussianLaw, strike: float) -> float:
     return law.std * pdf - (strike - law.mean) * (1.0 - cdf)
 
 
-def ou_asian_law(spec: ModelSpec, t: float, y_t: float, times) -> GaussianLaw:
-    """Exact Gaussian law of the discrete average of a jump-free OU process.
+def _phi(x: float) -> float:
+    """``(e^x - 1) / x`` by ``expm1``, with its limit 1 at ``x = 0``."""
+    return math.expm1(x) / x if x else 1.0
 
-    The average over the sampling grid decomposes into a weighted sum of
-    independent Gaussian integrals over consecutive grid intervals, which
-    yields the mean and variance in closed form.  ``b1 = 0`` is handled by
-    the explicit limit expressions instead of dividing by ``b1``.
+
+def _average_law(spec: ModelSpec, t: float, y_t: float, times) -> tuple[float, float]:
+    """Mean and variance of the discrete average over ``times`` given ``Y(t) = y_t``.
+
+    Every :class:`ModelSpec` is an OU process driven by a Levy process of
+    variance ``c2`` per unit time, so the centred average is ``int k(u) dL_u``
+    with ``k = w_i e^(b1 (s_i - u))`` on ``(s_(i-1), s_i]``, where ``(m + 1) w_i
+    = sum_(j >= i) e^(b1 (s_j - s_i))`` (Barndorff-Nielsen & Shephard 2001).
     """
+    if not math.isfinite(y_t):
+        raise ValueError(f"y_t must be finite, got {y_t!r}")
+    times = _sampling_grid(t, times)
+    b0, b1 = spec.drift_const, spec.drift_lin
+    c2 = spec.diff_sq + (0.0 if spec.jumps is None else float(levy_moments(spec.jumps, 2)[2]))
+    try:
+        mean = math.fsum(y_t * math.exp(b1 * (s - t)) + b0 * (s - t) * _phi(b1 * (s - t))
+                         for s in times) / len(times)
+        terms, weight, growth = [], 0.0, 0.0
+        for dt in reversed([s - r for r, s in zip((t,) + times, times)]):
+            weight = 1.0 + growth * weight  # (m + 1) w_i
+            terms.append(weight * weight * dt * _phi(2.0 * b1 * dt))
+            growth = math.exp(b1 * dt)
+        var = c2 * math.fsum(terms) / len(times) ** 2
+    except OverflowError:
+        mean = var = math.inf
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise NumericalError(f"law of the average overflows at drift_lin {b1}, "
+                             f"horizon {times[-1] - t}")
+    return mean, var
+
+
+def ou_asian_law(spec: ModelSpec, t: float, y_t: float, times) -> GaussianLaw:
+    """Exact Gaussian law of the discrete average of a jump-free OU process."""
     if spec.jumps is not None:
         raise ValueError("closed-form average law exists only for jump-free models")
     if not spec.diff_sq > 0:
         raise ValueError("diffusion coefficient must be positive")
-    times = np.asarray(_sampling_grid(t, times))
-
-    b0, b1, sigma0 = spec.drift_const, spec.drift_lin, spec.diff_sq
-    mp1 = times.size
-    tau = times - t
-    if b1 == 0.0:
-        mean = y_t + b0 * float(np.sum(tau)) / mp1
-    else:
-        e = np.exp(b1 * tau)
-        mean = float(np.sum(y_t * e + (b0 / b1) * (e - 1.0))) / mp1
-
-    grid = np.concatenate([[t], times])
-    var = 0.0
-    for j in range(mp1):
-        tail = times[j:]  # s_k for k >= j
-        if b1 == 0.0:
-            # each pair (k1, k2) contributes the interval length
-            var += tail.size ** 2 * (grid[j + 1] - grid[j])
-        else:
-            s = tail[:, None] + tail[None, :]
-            var += float(
-                np.sum(np.exp(b1 * (s - 2.0 * grid[j])) - np.exp(b1 * (s - 2.0 * grid[j + 1])))
-            ) / (2.0 * b1)
-    var *= sigma0 / mp1**2
+    mean, var = _average_law(spec, t, y_t, times)
     return GaussianLaw(mean=mean, std=math.sqrt(var))
 
 

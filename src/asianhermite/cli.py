@@ -168,6 +168,13 @@ def parse_model(cfg: dict, path: str = "model.") -> ModelSpec:
     return ModelSpec(drift_const=b0, drift_lin=b1, diff_sq=sigma0, jumps=jumps)
 
 
+def _output(cfg: dict, experiment) -> str:
+    output = cfg.get("output", f"{experiment}.csv")
+    if not isinstance(output, str) or not output:
+        raise ConfigError(f"output: expected a non-empty file name, got {output!r}")
+    return output
+
+
 def _model_label(model: ModelSpec) -> str:
     if model.jumps is not None:
         return "jd"
@@ -243,7 +250,7 @@ def parse_pricing(cfg: dict) -> PricingExperiment:
         maturity=maturity, rate=rate, m_values=m_values, strikes=strikes,
         scales=scales, scale_ratios=scale_ratios, a_policy=a_policy,
         max_order=_int(cfg.get("max_order", 60), "max_order", 1), mc=mc,
-        seed=_int(cfg.get("seed", 0), "seed", 0), output=cfg.get("output", f"{experiment}.csv"),
+        seed=_int(cfg.get("seed", 0), "seed", 0), output=_output(cfg, experiment),
     )
 
 
@@ -384,7 +391,7 @@ def run_payoff_table(cfg: dict, out_dir: str) -> tuple[str, str]:
                     yield (experiment, strike, drift, b, order, float(x),
                            max(x - strike, 0.0), float(v))
 
-    return _write_table(out_dir, cfg.get("output", f"{experiment}.csv"),
+    return _write_table(out_dir, _output(cfg, experiment),
                         ["experiment", "K", "a", "b", "N", "x", "payoff", "series_value"],
                         rows(), {"kind": "payoff-approximation", "config": cfg})
 
@@ -406,7 +413,7 @@ def run_error_table(cfg: dict, out_dir: str) -> tuple[str, str]:
                     exp_ = payoff_coefficients(strike, GhpBasis(drift=a, scale=b, order=order))
                     yield experiment, strike, a, b, order, payoff_l2_error(exp_)
 
-    return _write_table(out_dir, cfg.get("output", f"{experiment}.csv"),
+    return _write_table(out_dir, _output(cfg, experiment),
                         ["experiment", "K", "a", "b", "N", "l2_error"],
                         rows(), {"kind": "series-error", "config": cfg})
 
@@ -422,6 +429,8 @@ def load_config(name_or_path: str) -> dict:
             cfg = json.loads(text.read_text())
     except FileNotFoundError:
         raise ConfigError(f"no such preset or config file: {name_or_path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{name_or_path}: cannot read: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{name_or_path}: not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -468,18 +477,33 @@ def _price_config(args) -> tuple[dict, tuple[float, ...] | None]:
     ratio = args.b.removeprefix("ratio:")
     cfg = {
         "experiment": "price", "model": model, "t": args.t, "y0": args.y0,
-        "rate": args.rate, "m_values": [args.m], "strikes": [args.strike],
+        "rate": args.rate, "m_values": [args.m or 0], "strikes": [args.strike],
         "scales" if ratio == args.b else "scale_ratios": [_flag_number(ratio)],
         "a_policy": _flag_number(args.a),
         "max_order": args.max_order if args.auto_n else args.order,
         "seed": args.seed,
     }
+    # unset Monte Carlo flags are left to McConfig's defaults
+    given = zip(_MC_KEYS, (args.mc_paths, args.mc_batches, args.mc_refine))
+    mc = {key: value for key, value in given if value is not None}
     if args.mc_check:
-        cfg["mc"] = {"paths": args.mc_paths, "batches": args.mc_batches, "refine": args.mc_refine}
+        cfg["mc"] = mc
+    elif mc:
+        flags = " and ".join(f"--mc-{key}" for key in mc)
+        raise ConfigError(f"mc: --mc-check is required by {flags}")
     times = None
     if args.times is not None:
         times = _explicit_times(args.times, args.t)
         cfg.update(maturity=times[-1], m_values=[len(times) - 1])
+        # --times sets both; a flag may only repeat what it sets
+        clash = []
+        if args.maturity not in (None, times[-1]):
+            clash.append(f"--maturity {args.maturity!r}")
+        if args.m not in (None, len(times) - 1):
+            clash.append(f"--m {args.m}")
+        if clash:
+            raise ConfigError(f"times: --times {args.times} sets maturity {times[-1]!r} and "
+                              f"m {len(times) - 1}, against {' and '.join(clash)}")
     elif args.maturity is not None:
         cfg["maturity"] = args.maturity
     return cfg, times
@@ -596,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--y0", type=float, default=0.0)
     p.add_argument("--maturity", type=float)
-    p.add_argument("--m", type=int, default=0, help="number of extra sampling points")
+    p.add_argument("--m", type=int, help="number of extra sampling points (default 0)")
     p.add_argument("--times", help="explicit comma-separated sampling times")
     p.add_argument("--strike", type=float, required=True)
     p.add_argument("--rate", type=float, default=0.0)
@@ -609,9 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=STOPPING_THRESHOLD)
     p.add_argument("--greeks", action="store_true")
     p.add_argument("--mc-check", action="store_true")
-    p.add_argument("--mc-paths", type=int, default=McConfig.paths)
-    p.add_argument("--mc-batches", type=int, default=McConfig.batches)
-    p.add_argument("--mc-refine", type=int, default=McConfig.refine)
+    p.add_argument("--mc-paths", type=int, help=f"default {McConfig.paths}")
+    p.add_argument("--mc-batches", type=int, help=f"default {McConfig.batches}")
+    p.add_argument("--mc-refine", type=int, help=f"default {McConfig.refine}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_price)

@@ -9,6 +9,7 @@ conditional moments come from one matrix exponential.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,6 +41,24 @@ def _sampling_grid(t: float, times) -> tuple[float, ...]:
     return times
 
 
+def _require_finite(obj, *names: str) -> None:
+    """Raise ``ValueError`` naming the first field of ``obj`` in ``names`` that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_int(obj, name: str, minimum: int) -> None:
+    """Raise ``ValueError`` unless field ``name`` of ``obj`` is an integer >= ``minimum``.
+
+    Numpy integers count; ``bool`` and integral floats do not.
+    """
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _monomials(y: float, order: int) -> np.ndarray:
     """``(1, y, .., y^order)``; overflow to infinity is left for the finite checks downstream."""
     with np.errstate(over="ignore"):
@@ -56,6 +75,7 @@ class NigParams:
     delta: float
 
     def __post_init__(self):
+        _require_finite(self, "alpha", "beta", "mu", "delta")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not abs(self.beta) < self.alpha:
@@ -78,6 +98,7 @@ class ModelSpec:
     jumps: NigParams | None = None
 
     def __post_init__(self):
+        _require_finite(self, "drift_const", "drift_lin", "diff_sq")
         if self.diff_sq < 0:
             raise ValueError("squared diffusion coefficient must be non-negative")
 

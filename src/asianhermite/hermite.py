@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import std_normal
+from .generator import _require_finite, _require_int
 
 # Above this order the change-of-basis coefficients overflow doubles.
 MAX_ORDER = 200
@@ -35,10 +36,10 @@ class GhpBasis:
     order: int
 
     def __post_init__(self):
+        _require_finite(self, "drift", "scale")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
-        if self.order < 0:
-            raise ValueError("order must be non-negative")
+        _require_int(self, "order", 0)
         if self.order > MAX_ORDER:
             raise ValueError(f"order {self.order} exceeds the construction limit {MAX_ORDER}")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import ModelSpec, _sampling_grid
+from .generator import ModelSpec, _require_int, _sampling_grid
 from .pricing import PriceRequest
 
 @dataclass(frozen=True)
@@ -42,10 +42,9 @@ class McConfig:
     refine: int = 100  # euler substeps per monitoring interval
 
     def __post_init__(self):
-        if self.paths < 1 or self.batches < 1:
-            raise ValueError("paths and batches must be positive")
-        if self.refine < 1:
-            raise ValueError("refine must be positive")
+        for name in ("paths", "batches", "refine"):
+            _require_int(self, name, 1)
+        _require_int(self, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .benchmarks import GAMMA_CLAMP, accuracy_gamma
+from .benchmarks import GAMMA_CLAMP, _average_law, accuracy_gamma
 from .correlators import CorrelatorEngine, CorrelatorQuery, _engine_for
-from .generator import ModelSpec, _sampling_grid, max_order, moment_vector
+from .generator import ModelSpec, _require_finite, _sampling_grid, max_order, moment_vector
 from .hermite import GhpBasis, change_of_basis, payoff_coefficients
 
 STOPPING_THRESHOLD = 4.0
@@ -51,6 +51,7 @@ class PriceRequest:
             raise ValueError("strike must be finite and non-negative")
         if not 0 <= self.rate < math.inf:
             raise ValueError("rate must be finite and non-negative")
+        _require_finite(self, "y_t")
 
     @property
     def m(self) -> int:
@@ -380,22 +381,15 @@ def theta(request: PriceRequest, j: int, engine: CorrelatorEngine | None = None)
 
 def default_drift(model: ModelSpec, t: float, y_t: float, times) -> float:
     """Mean of the discrete average, the default focus point of the basis."""
-    times = _sampling_grid(t, times)
-    return fsum(float(moment_vector(model, 1, t, s, y_t)[1]) for s in times) / len(times)
+    return _average_law(model, t, y_t, times)[0]
 
 
 def average_std(
     model: ModelSpec, t: float, y_t: float, times, engine: CorrelatorEngine | None = None
 ) -> float:
-    """Standard deviation of the discrete average.
-
-    ``E[X^2]`` is the engine's, so a price on the same engine and grid
-    reuses it; the mean is :func:`default_drift`'s sum of single-time means.
-    """
-    times = _sampling_grid(t, times)
-    second = _average_moments(_engine_for(model, engine), t, y_t, times, 2)[2]
-    mean = default_drift(model, t, y_t, times)
-    var = second - mean * mean
+    """Standard deviation of the discrete average; ``engine`` is only checked against ``model``."""
+    _engine_for(model, engine)
+    var = _average_law(model, t, y_t, times)[1]
     if var <= 0:
         raise ValueError("average has no positive variance under this model")
     return math.sqrt(var)

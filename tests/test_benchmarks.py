@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from asianhermite import (
+    CorrelatorEngine,
     GaussianLaw,
     GhpBasis,
     McConfig,
     ModelSpec,
+    NigParams,
     accuracy_gamma,
     error_constant,
     gaussian_call,
@@ -16,6 +18,8 @@ from asianhermite import (
     simulate_paths,
     std_normal,
 )
+from asianhermite.benchmarks import _average_law
+from asianhermite.pricing import _average_moments
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -113,10 +117,11 @@ class TestOuAsianLaw:
         law = ou_asian_law(flat, 0.0, 1.0, times)
         assert law.mean == pytest.approx(1.0 + 0.05 * 1.5, rel=1e-14)
         # Taylor limit oracle: tiny reversion approaches the closed limit
-        near = ModelSpec(drift_const=0.05, drift_lin=1e-9, diff_sq=0.8)
-        near_law = ou_asian_law(near, 0.0, 1.0, times)
-        assert near_law.mean == pytest.approx(law.mean, rel=1e-7)
-        assert near_law.std == pytest.approx(law.std, rel=1e-7)
+        for b1, rel in ((1e-9, 1e-7), (1e-12, 1e-10)):
+            near = ModelSpec(drift_const=0.05, drift_lin=b1, diff_sq=0.8)
+            near_law = ou_asian_law(near, 0.0, 1.0, times)
+            assert near_law.mean == pytest.approx(law.mean, rel=rel)
+            assert near_law.std == pytest.approx(law.std, rel=rel)
 
     def test_variance_monotone_in_diffusion(self):
         sigmas = (0.3, 0.6, 1.2, 2.4)
@@ -129,6 +134,22 @@ class TestOuAsianLaw:
     def test_rejects_jump_models(self, jd_model):
         with pytest.raises(ValueError):
             ou_asian_law(jd_model, 0.0, 2.0, (1.0, 2.0))
+
+
+class TestAverageLaw:
+    @pytest.mark.parametrize("times", [(1.1,), (0.7, 2.0), (0.5, 0.9, 1.6, 2.0)],
+                             ids=["m0", "m1", "m3"])
+    @pytest.mark.parametrize("b1", [0.0, 1e-12, 0.01, -0.5])
+    @pytest.mark.parametrize("jumps", [None, NigParams(alpha=2.0, beta=0.3, mu=0.1, delta=0.05)],
+                             ids=["ou", "skewed-nig"])
+    def test_matches_correlator_chain(self, jumps, b1, times):
+        # the kernel's mean and variance against E[A] and E[A^2] of the
+        # chain, on an uneven grid after t > 0
+        spec = ModelSpec(-0.02, b1, 0.49, jumps)
+        mean, var = _average_law(spec, 0.3, 2.0, times)
+        chain = _average_moments(CorrelatorEngine(spec), 0.3, 2.0, times, 2)
+        assert mean == pytest.approx(chain[1], rel=1e-13)
+        assert var + mean * mean == pytest.approx(chain[2], rel=1e-13)
 
 
 class TestErrorConstant:

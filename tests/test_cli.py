@@ -160,6 +160,27 @@ class TestPriceCommand:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--times", "1,2", "--maturity", "5"],
+         "times: --times 1,2 sets maturity 2.0 and m 1, against --maturity 5.0"),
+        (["--times", "1,2", "--m", "5"],
+         "times: --times 1,2 sets maturity 2.0 and m 1, against --m 5"),
+        (["--times", "1,2", "--maturity", "2", "--m", "5"],
+         "times: --times 1,2 sets maturity 2.0 and m 1, against --m 5"),
+        (["--maturity", "2", "--mc-paths", "500"], "mc: --mc-check is required by --mc-paths"),
+        (["--maturity", "2", "--mc-batches", "4", "--mc-refine", "2"],
+         "mc: --mc-check is required by --mc-batches and --mc-refine"),
+    ], ids=["times-maturity", "times-m", "times-agreeing-maturity-m", "mc-paths",
+            "mc-batches-refine"])
+    def test_ignored_flags_refused(self, flags, message, capsys):
+        # a flag the quote would drop is an error, not a silent default
+        code = main(["price", "--model", "ou", "--b0", "-0.02", "--b1", "0.01", "--sigma0", "0.98",
+                     "--y0", "2", "--strike", "2", "--order", "8"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
+
     def test_missing_nig_is_config_error(self, capsys):
         code = main(["price", "--model", "jd", "--maturity", "1", "--strike", "1"])
         assert code == 2
@@ -305,6 +326,12 @@ class TestRunCommand:
         assert code == 2
         assert "model.kind" in capsys.readouterr().err
 
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        code = main(["run", str(tmp_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"configuration error: {tmp_path}: cannot read: ")
+
     def test_unknown_preset(self, capsys):
         code = main(["run", "not-a-preset", "--out", "/tmp"])
         assert code == 2
@@ -374,6 +401,9 @@ BAD_CONFIGS = [
     pytest.param(PRICING, {"strikes": [math.inf]}, "strikes[0]", id="pricing-strike-infinity"),
     pytest.param(PRICING, {"maturity": 10**400}, "maturity", id="pricing-maturity-past-float-range"),
     pytest.param(PAYOFF, {"strike": math.nan}, "strike", id="payoff-strike-nan"),
+    pytest.param(PRICING, {"output": 5}, "output", id="pricing-output-number"),
+    pytest.param(PAYOFF, {"output": ""}, "output", id="payoff-output-empty"),
+    pytest.param(SERIES_ERROR, {"output": ["e.csv"]}, "output", id="error-output-list"),
 ]
 
 

@@ -345,9 +345,10 @@ class TestOrderLimit:
         _run_fresh(script)
 
     def test_scipy_loads_only_where_called(self, tmp_path):
-        # the package, the CLI and Monte Carlo load no SciPy; the series,
-        # jump models and the run command included, loads scipy.linalg and
-        # scipy.special and never scipy.integrate
+        # the package, the CLI, the law of a Gaussian average and Monte Carlo
+        # load no SciPy; the series, jump models and the run command
+        # included, loads scipy.linalg and scipy.special and never
+        # scipy.integrate
         script = (
             "import sys\n"
             "def scipy_modules():\n"
@@ -356,6 +357,9 @@ class TestOrderLimit:
             "import asianhermite.cli\n"
             "assert not scipy_modules(), scipy_modules()\n"
             "ou = ah.ModelSpec(-0.02, 0.01, 0.98)\n"
+            "ah.default_drift(ou, 0.0, 2.0, (1.0, 2.0))\n"
+            "ah.average_std(ou, 0.0, 2.0, (1.0, 2.0))\n"
+            "ah.ou_asian_law(ou, 0.0, 2.0, (1.0, 2.0))\n"
             "jd = ah.ModelSpec(-0.02, 0.01, 0.49, ah.NigParams(1.0, 0.0, 0.0, 0.05))\n"
             "basis = ah.GhpBasis(drift=2.0, scale=1.5, order=10)\n"
             "for spec in (ou, jd):\n"

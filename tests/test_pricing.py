@@ -11,6 +11,7 @@ from asianhermite import (
     GhpBasis,
     ModelSpec,
     NigParams,
+    NumericalError,
     PriceReport,
     PriceRequest,
     asian_price,
@@ -28,6 +29,7 @@ from asianhermite import (
     stopping_criterion,
     theta,
 )
+from asianhermite import generator
 from asianhermite.pricing import (
     _expanded_moments,
     _gamma_tilde,
@@ -224,29 +226,6 @@ class TestAsianPrice:
         )
         assert chains == []
         assert p1.price_by_N[-1] != p2.price_by_N[-1]
-
-    def test_average_std_moments_reused_by_a_price(self, ou_model, monkeypatch):
-        chains = []
-        original = CorrelatorEngine._chain
-
-        def counting(self, *args, **kwargs):
-            chains.append(args[0].powers)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(CorrelatorEngine, "_chain", counting)
-        engine = CorrelatorEngine(ou_model)
-        times = (1.0, 2.0)
-        average_std(ou_model, 0.0, 2.0, times, engine=engine)
-        assert chains
-        chains.clear()
-        basis = GhpBasis(drift=2.0, scale=1.6, order=2)
-        report = asian_price(PriceRequest(2.0, 0.0, 0.0, times, basis, ou_model, 2.0),
-                             engine=engine)
-        assert chains == []
-        assert np.array_equal(
-            report.price_by_N,
-            asian_price(PriceRequest(2.0, 0.0, 0.0, times, basis, ou_model, 2.0)).price_by_N,
-        )
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("kind", ["ou", "jd"])
@@ -520,6 +499,42 @@ class TestHelpers:
         times = (0.5, 1.0, 1.5, 2.0)
         law = ou_asian_law(ou_model, 0.0, 2.0, times)
         assert average_std(ou_model, 0.0, 2.0, times) == pytest.approx(law.std, rel=1e-11)
+
+    def test_law_runs_no_chain(self, ou_model, jd_model, monkeypatch):
+        # the mean and the width of the average are closed forms: no
+        # correlator chain and no matrix exponential
+        def refuse(*args, **kwargs):
+            raise AssertionError("the law of the average ran a chain or an exponential")
+
+        monkeypatch.setattr(CorrelatorEngine, "_chain", refuse)
+        monkeypatch.setattr(generator, "matrix_exponential", refuse)
+        times = (0.5, 1.2, 2.0)
+        for model in (ou_model, jd_model):
+            assert math.isfinite(default_drift(model, 0.0, 2.0, times))
+            assert average_std(model, 0.0, 2.0, times, engine=CorrelatorEngine(model)) > 0
+        assert ou_asian_law(ou_model, 0.0, 2.0, times).std > 0
+        with pytest.raises(ValueError, match="jump-free"):
+            ou_asian_law(jd_model, 0.0, 2.0, times)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_average_std_does_not_depend_on_state(self, ou_model, m):
+        # the state shifts the average by a constant; a width taken as
+        # E[A^2] - E[A]^2 would lose its digits to that shift
+        times = (2.0,) if m == 0 else (1.0, 2.0)
+        far = average_std(ou_model, 0.0, 1e7, times)
+        assert far == pytest.approx(average_std(ou_model, 0.0, 2.0, times), rel=1e-12)
+
+    @pytest.mark.parametrize("y_t", [math.nan, math.inf])
+    def test_law_refuses_non_finite_state(self, ou_model, y_t):
+        for law in (default_drift, average_std, ou_asian_law):
+            with pytest.raises(ValueError, match="y_t"):
+                law(ou_model, 0.0, y_t, (1.0, 2.0))
+
+    def test_law_overflow_is_numerical_failure(self):
+        steep = ModelSpec(drift_const=0.0, drift_lin=400.0, diff_sq=1.0)
+        for law in (default_drift, average_std, ou_asian_law):
+            with pytest.raises(NumericalError, match="law of the average overflows"):
+                law(steep, 0.0, 1.0, (1.0, 2.0))
 
     def test_average_std_checks_the_engine_model(self, ou_model, bm_model):
         with pytest.raises(ValueError, match="different model"):
