@@ -129,18 +129,19 @@ def scale_floor(sigma: float) -> float:
     return sigma / _SQRT2
 
 
-def accuracy_gamma(exact: float, approx: float) -> float:
+def accuracy_gamma(exact, approx):
     """Base-10 accuracy exponent of ``approx`` against the benchmark ``exact``.
 
     Returns ``-log10(|exact - approx| / |exact|)``, clamped to
     ``[-GAMMA_CLAMP, GAMMA_CLAMP]``; exact agreement maps to the upper clamp.
     Negative values mean the approximation is further from the benchmark
     than the benchmark's own size and are returned as-is (divergence is
-    reported, not hidden).
+    reported, not hidden).  Works element by element: floats give a float,
+    arrays give an array; a zero benchmark anywhere is refused.
     """
-    if exact == 0:
+    exact = np.asarray(exact, dtype=float)
+    if np.any(exact == 0):
         raise ValueError("benchmark value must be nonzero")
-    rel = abs(exact - approx) / abs(exact)
-    if rel == 0.0:
-        return GAMMA_CLAMP
-    return float(np.clip(-math.log10(rel), -GAMMA_CLAMP, GAMMA_CLAMP))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.clip(-np.log10(np.abs(exact - approx) / np.abs(exact)), -GAMMA_CLAMP, GAMMA_CLAMP)
+    return float(out) if out.ndim == 0 else out

@@ -317,16 +317,15 @@ def _run_pricing_cell(exp: PricingExperiment, engine, times, m, order, drift, la
         estimate = mc_price(exp.model, request, _mc_config(exp.mc, exp.seed * 1_000_003 + cell_idx))
         mc = (estimate.mean, *estimate.ci95)
     wall_ms = int(round(1000 * (time.perf_counter() - started)))
-    rows = []
-    for n in range(order + 1):
-        price_n = float(report.price_by_N[n])
-        accuracy = None
-        if exact is not None and exact != 0 and math.isfinite(price_n):
-            accuracy = accuracy_gamma(exact, price_n)
-        gt = float(report.gamma_tilde[n]) if n >= 1 else None
-        rows.append((exp.experiment, _model_label(exp.model), strike, drift, scale, n, m,
-                     price_n, accuracy, gt, *mc, n == report.chosen_N, wall_ms))
-    return rows
+    prices = report.price_by_N
+    # NaN prints blank: no benchmark, a zero one, or a non-finite partial sum
+    accuracy = np.full(prices.size, np.nan)
+    if exact is not None and exact != 0:
+        accuracy = np.where(np.isfinite(prices), accuracy_gamma(exact, prices), np.nan)
+    label = _model_label(exp.model)
+    columns = zip(prices.tolist(), accuracy.tolist(), report.gamma_tilde.tolist())
+    return [(exp.experiment, label, strike, drift, scale, n, m, price, acc, gt, *mc,
+             n == report.chosen_N, wall_ms) for n, (price, acc, gt) in enumerate(columns)]
 
 
 def _write_table(out_dir: str, output: str, header, rows, meta: dict) -> tuple[str, str]:

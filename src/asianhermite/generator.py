@@ -67,7 +67,7 @@ def _monomials(y: float, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NigParams:
-    """Normal inverse Gaussian law: steepness, asymmetry, location, scale."""
+    """Normal inverse Gaussian law: steepness, asymmetry, location (always 0), scale."""
 
     alpha: float
     beta: float
@@ -76,6 +76,10 @@ class NigParams:
 
     def __post_init__(self):
         _require_finite(self, "alpha", "beta", "mu", "delta")
+        if self.mu != 0.0:
+            # the jump part is compensated, so a location would never reach a price
+            raise ValueError(f"mu must be 0, got {self.mu!r}: the compensated jump part "
+                             "drops the location; fold it into drift_const")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not abs(self.beta) < self.alpha:

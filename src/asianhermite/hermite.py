@@ -141,18 +141,14 @@ class PayoffExpansion:
     beta: np.ndarray = field(repr=False)
 
 
-def _sqrt_factorial(n: int) -> float:
-    # exact integer sqrt path while n! is representable, log-gamma beyond
-    if n <= 170:
-        return math.sqrt(math.factorial(n))
-    return math.exp(0.5 * math.lgamma(n + 1))
-
-
 def payoff_coefficients(strike: float, basis: GhpBasis) -> PayoffExpansion:
     """Series coefficients of ``max(x - K, 0)`` in the basis.
 
     ``beta_0`` and ``beta_1`` carry the Gaussian tail terms; for ``n >= 2``
-    the coefficient is ``b phi(d) q_{n-2}(d) / n!`` with ``d = (K - a)/b``.
+    the coefficient is ``b phi(d) r_(n-2)`` with ``d = (K - a)/b`` and
+    ``r_k = q_k(d) / (k + 2)!``, run by the Hermite recurrence divided
+    through by the factorial, ``r_(k+1) = (d r_k - k r_(k-1) / (k + 2)) / (k + 3)``
+    from ``r_0 = 1/2``, so no factorial is formed at any order.
     """
     if strike < 0:
         raise ValueError("strike must be non-negative")
@@ -165,16 +161,12 @@ def payoff_coefficients(strike: float, basis: GhpBasis) -> PayoffExpansion:
         beta[1] = b * (1.0 - cdf)
     if order >= 2 and pdf > 0.0:
         # pdf == 0 only when the strike sits so deep in a tail that every
-        # curvature coefficient underflows; the raw polynomials would
-        # overflow before the product could recover, so skip them outright.
-        if order <= 170:
-            q = np.array([1.0, *_hermite_values(d, order - 2)])
-            fact = np.array([math.factorial(n) for n in range(2, order + 1)], dtype=float)
-            beta[2:] = b * pdf * q / fact
-        else:
-            u = hermite_orthonormal_values(order - 2, d)
-            for n in range(2, order + 1):
-                beta[n] = b * pdf * u[n - 2] / (n * (n - 1) * _sqrt_factorial(n - 2))
+        # curvature coefficient underflows, while r_k would overflow
+        r, prev = [0.5], 0.0
+        for k in range(order - 2):
+            r.append((d * r[k] - k * prev / (k + 2)) / (k + 3))
+            prev = r[k]
+        beta[2:] = b * pdf * np.array(r)
     beta.setflags(write=False)
     return PayoffExpansion(strike=strike, basis=basis, beta=beta)
 

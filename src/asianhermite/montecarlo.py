@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .benchmarks import _phi
 from .generator import ModelSpec, _require_int, _sampling_grid
 from .pricing import PriceRequest
 
@@ -61,12 +62,8 @@ class McEstimate:
 
 def _ou_step(spec: ModelSpec, y: np.ndarray, tau: float, rng: np.random.Generator) -> np.ndarray:
     b0, b1, s0 = spec.drift_const, spec.drift_lin, spec.diff_sq
-    if b1 == 0.0:
-        mean = y + b0 * tau
-        var = s0 * tau
-    else:
-        mean = y * math.exp(b1 * tau) + b0 / b1 * math.expm1(b1 * tau)
-        var = s0 * math.expm1(2.0 * b1 * tau) / (2.0 * b1)
+    mean = y * math.exp(b1 * tau) + b0 * tau * _phi(b1 * tau)
+    var = s0 * tau * _phi(2.0 * b1 * tau)
     if var <= 0.0:
         return mean
     return mean + math.sqrt(var) * rng.standard_normal(y.shape)

@@ -146,13 +146,51 @@ class StoppingDecision(NamedTuple):
 
 
 def _gamma_tilde(partial: np.ndarray) -> np.ndarray:
+    """Accuracy exponent of each partial sum against the one before it; NaN at order 0.
+
+    A zero reference sum gives ``GAMMA_CLAMP`` when the next one is also
+    zero and ``-GAMMA_CLAMP`` otherwise.
+    """
     out = np.full(partial.size, np.nan)
-    for n in range(1, partial.size):
-        if partial[n - 1] != 0.0:
-            out[n] = accuracy_gamma(partial[n - 1], partial[n])
-        else:
-            out[n] = GAMMA_CLAMP if partial[n] == 0.0 else -GAMMA_CLAMP
+    ref, nxt = partial[:-1], partial[1:]
+    zero = ref == 0.0
+    out[1:] = np.where(zero, np.where(nxt == 0.0, GAMMA_CLAMP, -GAMMA_CLAMP),
+                       accuracy_gamma(np.where(zero, 1.0, ref), nxt))
     return out
+
+
+def _measurable(partial: np.ndarray) -> np.ndarray:
+    """Mask over orders ``1..N`` of the increments that carry a convergence signal.
+
+    One ``_DEGENERATE_RATIO`` below both neighbours is a structural zero.  A
+    NaN neighbour counts as 0; a NaN or infinite increment is measured.
+    """
+    steps = np.abs(np.diff(partial))
+    padded = np.pad(steps, 1)
+    neighbour = np.fmax(np.fmax(padded[:-2], padded[2:]), 0.0)
+    return ~np.isfinite(steps) | (steps > _DEGENERATE_RATIO * neighbour)
+
+
+def _decide(partial: np.ndarray, gamma_tilde: np.ndarray, threshold: float) -> StoppingDecision:
+    """The stopping rule on validated inputs; see :func:`stopping_criterion`."""
+    orders = np.flatnonzero(_measurable(partial)) + 1
+    if not orders.size:
+        # every increment vanished: the series was converged from the start
+        return StoppingDecision(1, True, True)
+    crossed = gamma_tilde[orders] > threshold
+    # a crossing is confirmed by the next measurable order, or by being the last
+    confirmed = crossed & np.append(crossed[1:], True)
+    if confirmed.any():
+        return StoppingDecision(int(orders[confirmed.argmax()]), True, True)
+    if crossed.any():
+        return StoppingDecision(int(orders[crossed.argmax()]), False, True)
+    n_max = partial.size - 1
+    if orders[-1] < n_max - 1:
+        # measurable increments died out below the noise floor before ever
+        # crossing the threshold: the tail is quiet, accept it.  One vanished
+        # increment at the end may be a structural zero of a diverging series
+        return StoppingDecision(int(orders[-1]) + 1, True, False)
+    return StoppingDecision(n_max, False, False)
 
 
 def stopping_criterion(report: PriceReport, threshold: float = STOPPING_THRESHOLD) -> StoppingDecision:
@@ -172,42 +210,9 @@ def stopping_criterion(report: PriceReport, threshold: float = STOPPING_THRESHOL
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
-    partial = report.price_by_N
-    n_max = partial.size - 1
-    if n_max < 1:
+    if report.price_by_N.size < 2:
         raise ValueError("stopping rule needs at least two partial sums")
-    gt = report.gamma_tilde
-    steps = np.abs(np.diff(partial))
-    nondeg = []
-    for n in range(1, n_max + 1):
-        neighbour = 0.0
-        if n >= 2:
-            neighbour = max(neighbour, steps[n - 2])
-        if n < n_max:
-            neighbour = max(neighbour, steps[n])
-        # a NaN or infinite increment is measured, never vanished
-        if not math.isfinite(steps[n - 1]) or steps[n - 1] > _DEGENERATE_RATIO * neighbour:
-            nondeg.append(n)
-    if not nondeg:
-        # every increment vanished: the series was converged from the start
-        return StoppingDecision(1, True, True)
-    first_cross = None
-    for idx, n in enumerate(nondeg):
-        if gt[n] > threshold:
-            if first_cross is None:
-                first_cross = n
-            nxt = nondeg[idx + 1] if idx + 1 < len(nondeg) else None
-            if nxt is None or gt[nxt] > threshold:
-                return StoppingDecision(n, True, True)
-    if first_cross is not None:
-        return StoppingDecision(first_cross, False, True)
-    last = nondeg[-1]
-    if last < n_max - 1:
-        # measurable increments died out below the noise floor before ever
-        # crossing the threshold: the tail is quiet, accept it.  One vanished
-        # increment at the end may be a structural zero of a diverging series
-        return StoppingDecision(last + 1, True, False)
-    return StoppingDecision(n_max, False, False)
+    return _decide(report.price_by_N, report.gamma_tilde, threshold)
 
 
 def _recentered_expectations(moments: np.ndarray, drift: float, scale: float) -> np.ndarray:
@@ -235,11 +240,10 @@ def _series_partial_sums(moments: np.ndarray, basis: GhpBasis,
 
 def _build_report(partial: np.ndarray) -> PriceReport:
     gt = _gamma_tilde(partial)
-    interim = PriceReport(price_by_N=partial, gamma_tilde=gt, chosen_N=partial.size - 1, converged=False)
-    if partial.size < 2:
-        return interim
-    decision = stopping_criterion(interim)
-    return PriceReport(price_by_N=partial, gamma_tilde=gt, chosen_N=decision.n, converged=decision.converged)
+    n, converged = partial.size - 1, False
+    if partial.size >= 2:
+        n, converged, _ = _decide(partial, gt, STOPPING_THRESHOLD)
+    return PriceReport(price_by_N=partial, gamma_tilde=gt, chosen_N=n, converged=converged)
 
 
 def _expanded_moments(model: ModelSpec, t: float, y_t: float, times: tuple[float, ...],

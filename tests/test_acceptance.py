@@ -42,7 +42,7 @@ from asianhermite import (
     theta,
 )
 
-from asianhermite.pricing import _DEGENERATE_RATIO
+from asianhermite.pricing import _measurable
 from conftest import ghq_integral
 
 BM = ModelSpec(drift_const=0.0, drift_lin=0.0, diff_sq=1.0)
@@ -216,15 +216,11 @@ def _optimal_truncation(partial):
 
     Increments many decades below both neighbours are structural zeros (odd
     orders with the drift at the mean of a symmetric law) and are skipped by
-    the same ``_DEGENERATE_RATIO`` rule the stopping rule applies.
+    the same mask the stopping rule reads.
     """
     steps = np.abs(np.diff(partial))
-    measurable = []
-    for n in range(1, partial.size):
-        neighbour = max(steps[n - 2] if n >= 2 else 0.0, steps[n] if n < steps.size else 0.0)
-        if steps[n - 1] > _DEGENERATE_RATIO * neighbour:
-            measurable.append(n)
-    return min(measurable, key=lambda n: steps[n - 1])
+    measurable = np.flatnonzero(_measurable(partial)) + 1
+    return int(measurable[np.argmin(steps[measurable - 1])])
 
 
 def test_criterion_08_nig_asian_mc_consistency():

@@ -73,6 +73,7 @@ BAD_FIELDS = [
     pytest.param(lambda: ModelSpec(0.0, 0.0, math.nan), "diff_sq", id="model-diff-sq-nan"),
     pytest.param(lambda: ModelSpec(0.0, math.inf, 1.0), "drift_lin", id="model-drift-lin-inf"),
     pytest.param(lambda: NigParams(1.0, 0.0, math.nan, 0.05), "mu", id="nig-mu-nan"),
+    pytest.param(lambda: NigParams(1.0, 0.0, 0.5, 0.05), "mu", id="nig-mu-nonzero"),
     pytest.param(lambda: NigParams(math.inf, 0.0, 0.0, 0.05), "alpha", id="nig-alpha-inf"),
     pytest.param(lambda: GhpBasis(drift=math.nan, scale=1.0, order=4), "drift",
                  id="basis-drift-nan"),

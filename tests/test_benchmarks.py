@@ -140,7 +140,7 @@ class TestAverageLaw:
     @pytest.mark.parametrize("times", [(1.1,), (0.7, 2.0), (0.5, 0.9, 1.6, 2.0)],
                              ids=["m0", "m1", "m3"])
     @pytest.mark.parametrize("b1", [0.0, 1e-12, 0.01, -0.5])
-    @pytest.mark.parametrize("jumps", [None, NigParams(alpha=2.0, beta=0.3, mu=0.1, delta=0.05)],
+    @pytest.mark.parametrize("jumps", [None, NigParams(alpha=2.0, beta=0.3, mu=0.0, delta=0.05)],
                              ids=["ou", "skewed-nig"])
     def test_matches_correlator_chain(self, jumps, b1, times):
         # the kernel's mean and variance against E[A] and E[A^2] of the
@@ -223,3 +223,17 @@ class TestAccuracyGamma:
     def test_zero_benchmark_rejected(self):
         with pytest.raises(ValueError):
             accuracy_gamma(0.0, 1.0)
+        with pytest.raises(ValueError):
+            accuracy_gamma(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
+    def test_arrays_equal_scalar_calls(self):
+        exact = np.array([1.0, 2.5, -3.0, 1e-300, 7.0, 1.0, 2.0, math.inf])
+        approx = np.array([0.999, 2.5, 30.0, 2e-300, math.nan, math.inf, 2.0 + 4e-16, 1.0])
+        scalar = [accuracy_gamma(e, a) for e, a in zip(exact.tolist(), approx.tolist())]
+        assert all(type(value) is float for value in scalar)
+        got = accuracy_gamma(exact, approx)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, scalar, equal_nan=True)
+        # one benchmark against a column of approximations, as the CLI asks
+        column = [accuracy_gamma(2.0, a) for a in approx.tolist()]
+        assert np.array_equal(accuracy_gamma(2.0, approx), column, equal_nan=True)

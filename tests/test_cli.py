@@ -186,6 +186,16 @@ class TestPriceCommand:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_nig_location_refused(self, capsys):
+        # the jump part is compensated, so a location would price like 0
+        code = main(["price", "--model", "jd", "--nig", "1", "0", "0.5", "0.05",
+                     "--b0", "-0.02", "--b1", "0.01", "--sigma0", "0.49", "--y0", "2",
+                     "--maturity", "2", "--m", "1", "--strike", "2", "--order", "8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("configuration error: model.nig: mu must be 0")
+        assert captured.out == ""
+
     def test_strict_flags_non_convergence(self, capsys):
         # at the scale floor the series oscillates without converging
         code = main([

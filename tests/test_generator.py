@@ -139,7 +139,7 @@ class TestLevyMoments:
             assert abs(c[m] - q) <= 1e-7 * scale
 
     def test_asymmetric_measure(self):
-        params = NigParams(alpha=2.0, beta=0.8, mu=0.1, delta=0.3)
+        params = NigParams(alpha=2.0, beta=0.8, mu=0.0, delta=0.3)
         c = levy_moments(params, 8)
         for m in range(2, 9):
             q = levy_moment_quadrature(params, m)
@@ -394,7 +394,7 @@ class TestGeneratorMatrix:
     @pytest.mark.parametrize("spec", [
         ModelSpec(-0.02, 0.01, 0.98),
         ModelSpec(-0.02, 0.01, 0.49, NIG_REF),
-        ModelSpec(0.1, -0.3, 0.2, NigParams(alpha=2.0, beta=0.8, mu=0.1, delta=0.3)),
+        ModelSpec(0.1, -0.3, 0.2, NigParams(alpha=2.0, beta=0.8, mu=0.0, delta=0.3)),
         ModelSpec(-0.02, 0.01, 0.49, NigParams(alpha=0.01, beta=0.0, mu=0.0, delta=0.05)),
     ], ids=["ou", "fig8", "skewed", "alpha-0.01"])
     def test_matches_loop_oracle(self, spec):

@@ -91,7 +91,7 @@ class TestSimulatePaths:
         se_var = math.sqrt(2.0 * a.var() ** 2 / (a.size - 1) + 2.0 * b.var() ** 2 / (b.size - 1))
         assert abs(a.var() - b.var()) < 3 * se_var
 
-    @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.05), (2.0, 0.5, 0.1, 0.3)])
+    @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.05), (2.0, 0.5, 0.0, 0.3)])
     @pytest.mark.parametrize("diff_sq", [0.49, 0.0])
     def test_jump_paths_equal_expression_form_step(self, nig, diff_sq):
         # the in-place Euler interval must round exactly like the expression form
@@ -107,7 +107,7 @@ class TestSimulatePaths:
         got = simulate_paths(spec, 0.0, 2.0, times, cfg)
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.3), (2.0, 0.5, 0.1, 0.3)])
+    @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.3), (2.0, 0.5, 0.0, 0.3)])
     @pytest.mark.parametrize("diff_sq", [0.49, 0.0])
     def test_interval_law_matches_euler(self, nig, diff_sq):
         # 13 Euler substeps at growth 1 + b1*dt = 0.95 weigh the substeps'
@@ -140,7 +140,7 @@ class TestSimulatePaths:
         for sample, target, var in checks:
             assert abs(sample - target) < 4 * math.sqrt(var / n)
 
-    @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.3), (2.0, 0.5, 0.1, 0.3)])
+    @pytest.mark.parametrize("nig", [(1.0, 0.0, 0.0, 0.3), (2.0, 0.5, 0.0, 0.3)])
     @pytest.mark.parametrize("diff_sq", [0.49, 0.0])
     def test_one_substep_law(self, nig, diff_sq):
         # one Euler substep from a fixed y has mean (b0 + b1*y)*dt, variance

@@ -31,6 +31,7 @@ from asianhermite import (
 )
 from asianhermite import generator
 from asianhermite.pricing import (
+    _build_report,
     _expanded_moments,
     _gamma_tilde,
     _series_partial_sums,
@@ -327,6 +328,31 @@ class TestStoppingCriterion:
     def test_two_vanished_last_increments_are_a_quiet_tail(self):
         decision = stopping_criterion(report_from([1.0, 1.1, 1.15, 1.15, 1.15]))
         assert decision == (3, True, False)
+
+    @pytest.mark.parametrize("partial, expected", [
+        # a NaN neighbour counts as 0, so the finite step is measured: it
+        # crosses, and the NaN step after it does not confirm the crossing
+        ([math.nan, 1.0, 1.0 + 1e-6, math.nan], (2, False, True)),
+        ([1.0, 1.1, 1.10001, 1.3, 1.6], (2, False, True)),
+        ([1.0, 1.1, 1.10001, 1.100011, 1.4], (2, True, True)),
+        ([0.0, 0.0, 0.5, 0.5], (3, False, False)),
+        ([0.0, 0.0, 0.0], (1, True, True)),
+        ([1.0, 2.0, math.inf], (2, False, False)),
+    ], ids=["finite-step-between-nan-steps", "unconfirmed-crossing", "confirmed-crossing",
+            "zero-sums", "all-zero-sums", "infinite-sum"])
+    def test_hand_built_sequences(self, partial, expected):
+        # the price's own report and the public rule reach the same decision
+        partial = np.asarray(partial, dtype=float)
+        assert stopping_criterion(report_from(partial)) == expected
+        report = _build_report(partial)
+        assert (report.chosen_N, report.converged) == expected[:2]
+
+    def test_gamma_tilde_clamps(self):
+        # equal sums, 0 -> 0 included, give the upper clamp; a zero reference
+        # before a non-zero sum and an infinite relative error the lower one
+        partial = np.array([0.0, 0.0, 0.5, 0.5, math.inf, math.nan, 0.0, math.nan])
+        expected = [math.nan, 16.0, -16.0, 16.0, -16.0, math.nan, math.nan, -16.0]
+        assert np.array_equal(_gamma_tilde(partial), expected, equal_nan=True)
 
     @pytest.mark.parametrize("threshold", [-3.0, 0.0, math.nan, math.inf])
     def test_threshold_must_be_finite_and_positive(self, threshold):
