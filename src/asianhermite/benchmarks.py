@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .generator import ModelSpec, NumericalError, _require_finite, _sampling_grid, levy_moments
+from .generator import ModelSpec, NumericalError, _phi, _rates, _require_finite, _sampling_grid
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hermite import GhpBasis
@@ -58,11 +58,6 @@ def gaussian_call(law: GaussianLaw, strike: float) -> float:
     return law.std * pdf - (strike - law.mean) * (1.0 - cdf)
 
 
-def _phi(x: float) -> float:
-    """``(e^x - 1) / x`` by ``expm1``, with its limit 1 at ``x = 0``."""
-    return math.expm1(x) / x if x else 1.0
-
-
 def _average_law(spec: ModelSpec, t: float, y_t: float, times) -> tuple[float, float]:
     """Mean and variance of the discrete average over ``times`` given ``Y(t) = y_t``.
 
@@ -75,7 +70,7 @@ def _average_law(spec: ModelSpec, t: float, y_t: float, times) -> tuple[float, f
         raise ValueError(f"y_t must be finite, got {y_t!r}")
     times = _sampling_grid(t, times)
     b0, b1 = spec.drift_const, spec.drift_lin
-    c2 = spec.diff_sq + (0.0 if spec.jumps is None else float(levy_moments(spec.jumps, 2)[2]))
+    c2 = float(_rates(spec, 2)[2])
     try:
         mean = math.fsum(y_t * math.exp(b1 * (s - t)) + b0 * (s - t) * _phi(b1 * (s - t))
                          for s in times) / len(times)

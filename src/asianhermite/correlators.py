@@ -1,13 +1,13 @@
 """Conditional correlators of a polynomial jump-diffusion at multiple times.
 
 ``E[Y(s_0)^{k_0} ... Y(s_m)^{k_m} | Y(t) = y]`` is evaluated by propagating
-the monomial vector of order ``n(m+1)`` through a chain of matrix
-exponentials and, at each sampling time, slicing out the part that carries
+the monomial vector of order ``n(m+1)`` through a chain of closed-form
+transitions and, at each sampling time, slicing out the part that carries
 the power observed there.  This is the paper's Kronecker chain with its
 selector gathers resolved: expanding by ``D``, fixing a power and
 compressing by ``E`` is a slice, so no ``(n+1)**(m+1)``-element vector is
-built.  Two reference routes validate it: the Kronecker chain itself,
-through the selector maps of :mod:`.kronecker`, and a tower-rule recursion.
+built.  Two reference routes on generic matrix exponentials validate it: the
+Kronecker chain, through the selector maps of :mod:`.kronecker`, and a tower rule.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .generator import (
     NumericalError,
     _monomials,
     _sampling_grid,
+    _transition,
     generator_matrix,
     matrix_exponential,
-    scale_by_step,
 )
 from .kronecker import mth_selectors
 
@@ -64,14 +64,14 @@ def _monomials_derivative(y: float, order: int) -> np.ndarray:
 class CorrelatorEngine:
     """Correlator evaluator with shared propagator and moment caches.
 
-    Propagator exponentials are cached per (order, time step), which is the
+    Transition matrices are cached per (order, time step), which is the
     dominant saving on the uniform sampling grids of a pricing run.
     ``moments`` holds the moments of the sampled average; only
     ``pricing._average_moments`` reads or writes it.  They depend on neither
     strike nor basis, so a sweep over strikes and scales computes them once.
     Keys are ``(t, y_t, times)`` for two or more sampling times, extended in
     place to higher orders, and ``(t, y_t, times, order)`` for one sampling
-    time, whose exponential depends on the order.  The engine is not
+    time, whose transition depends on the order.  The engine is not
     thread-safe.
     """
 
@@ -88,13 +88,9 @@ class CorrelatorEngine:
         return g
 
     def _propagator(self, order: int, dt: float) -> np.ndarray:
-        key = (order, dt)
-        p = self._propagators.get(key)
-        if p is None:
-            p = matrix_exponential(scale_by_step(self._generator(order), dt))
-            p.setflags(write=False)
-            self._propagators[key] = p
-        return p
+        if (order, dt) not in self._propagators:
+            self._propagators[order, dt] = _transition(self.model, dt, order)
+        return self._propagators[order, dt]
 
     def _chain(self, query: CorrelatorQuery, d_y: bool = False, d_s: int | None = None) -> float:
         """Evaluate the correlator chain; optional single-derivative variants.
@@ -104,7 +100,7 @@ class CorrelatorEngine:
         ``k_j`` between the expanding and compressing selectors of the
         Kronecker chain is exactly ``w[k_j : k_j + n(m-j) + 1]``.  ``d_y``
         starts from the derivative of the monomials; ``d_s = j`` inserts the
-        generator after the exponential over ``(s_{j-1}, s_j]`` (the sign
+        generator after the transition over ``(s_{j-1}, s_j]`` (the sign
         bookkeeping for a maturity derivative lives in
         :meth:`derivative_time`).
         """

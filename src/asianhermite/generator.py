@@ -1,9 +1,9 @@
 """Generator matrices for polynomial jump-diffusions and the moment formula.
 
 The model is ``dY = (b0 + b1 Y) dt + sqrt(sigma0) dB + dJ`` with ``J`` a
-compensated pure-jump part whose jump measure is state-independent.  Acting
-on a monomial, the generator returns a polynomial of no higher degree, so
-conditional moments come from one matrix exponential.
+compensated pure-jump part whose jump measure is state-independent.  The
+generator keeps polynomial degree, so moments come from its exponential:
+:func:`_transition` in closed form, :func:`matrix_exponential` generically.
 """
 
 from __future__ import annotations
@@ -240,8 +240,8 @@ def max_order(spec: ModelSpec) -> int:
     ``MAX_GENERATOR_ORDER`` for Gaussian models.  For jump models the
     factorially growing jump moments set a lower limit: the last order at
     which every binomial-weighted moment ``C(k, j) c_j`` of the generator
-    is finite, which can lie below the last finite ``c_j``.  The matrix
-    exponential can still overflow below it, for long enough horizons.
+    is finite, which can lie below the last finite ``c_j``.  The transition
+    can still overflow below it, for long enough horizons.
     """
     if spec.jumps is None:
         return MAX_GENERATOR_ORDER
@@ -327,28 +327,51 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def scale_by_step(g: np.ndarray, dt: float) -> np.ndarray:
-    """``g * dt``, the argument of a propagator's exponential.
+def _phi(x: float) -> float:
+    """``(e^x - 1) / x`` by ``expm1``, with its limit 1 at ``x = 0``."""
+    return math.expm1(x) / x if x else 1.0
 
-    A finite generator can still overflow once scaled by a long step; that
-    is a numerical failure at this order, reported as :class:`NumericalError`.
+
+def _rates(spec: ModelSpec, n: int) -> np.ndarray:
+    """``(0, b0, sigma0 + c2, c3, .., cn)``: cumulants per unit time of the driving Levy process."""
+    top = max(n, 2)
+    r = np.zeros(top + 1) if spec.jumps is None else levy_moments(spec.jumps, top).copy()
+    r[1:3] += (spec.drift_const, spec.diff_sq)
+    return r[: n + 1]
+
+
+def _transition(spec: ModelSpec, dt: float, n: int) -> np.ndarray:
+    """``exp(G dt)`` for the generator ``G`` of order ``n``, in closed form, read-only.
+
+    Over a step ``dt`` the state goes to ``e^(b1 dt) Y + X``, with ``X``
+    independent of ``Y`` and of cumulants ``kappa_j = r_j dt phi(j b1 dt)``
+    (Barndorff-Nielsen & Shephard 2001).  Row ``k`` then holds
+    ``C(k, i) e^(i b1 dt) E[X^(k-i)]`` in column ``i``.
     """
-    with np.errstate(over="ignore"):
-        a = g * dt
-    if not np.all(np.isfinite(a)):
-        raise NumericalError(
-            f"generator of order {a.shape[0] - 1} overflowed when scaled by the step {dt}"
-        )
-    return a
+    if not 0 <= n <= max_order(spec):
+        raise ValueError(f"order {n} exceeds the limit {max_order(spec)} of this model")
+    failed = NumericalError(f"transition of order {n} over the step {dt} overflowed")
+    b, i, mu = spec.drift_lin * dt, np.arange(n + 1), np.ones(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            kappa = _rates(spec, n) * dt * [_phi(j * b) for j in i]
+        except OverflowError:
+            raise failed from None
+        for k in range(1, n + 1):  # moments of X from its cumulants
+            mu[k] = _pascal()[k - 1, :k] @ (kappa[1 : k + 1] * mu[k - 1 :: -1])
+        out = _pascal()[: n + 1, : n + 1] * np.exp(i * b) * mu[abs(i[:, None] - i)]
+    if not np.all(np.isfinite(out)):
+        raise failed
+    out.setflags(write=False)
+    return out
 
 
 def moment_vector(spec: ModelSpec, n: int, t: float, horizon: float, y_t: float) -> np.ndarray:
     """All conditional moments ``E[Y(T)^k | Y(t) = y]`` for ``k = 0..n`` at once."""
     if horizon < t:
         raise ValueError("horizon must not precede the conditioning time")
-    g = generator_matrix(spec, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = matrix_exponential(scale_by_step(g, horizon - t)) @ _monomials(y_t, n)
+        out = _transition(spec, horizon - t, n) @ _monomials(y_t, n)
     if not np.all(np.isfinite(out)):
         raise NumericalError(
             f"moment vector overflowed at order {n}, horizon {horizon - t}, state {y_t}"
@@ -357,7 +380,7 @@ def moment_vector(spec: ModelSpec, n: int, t: float, horizon: float, y_t: float)
 
 
 def moment(spec: ModelSpec, n: int, t: float, horizon: float, y_t: float) -> float:
-    """Conditional moment ``E[Y(T)^n | Y(t) = y]`` via the generator exponential."""
+    """Conditional moment ``E[Y(T)^n | Y(t) = y]`` via the closed-form transition."""
     if n < 0:
         raise ValueError("moment order must be non-negative")
     return float(moment_vector(spec, n, t, horizon, y_t)[n])

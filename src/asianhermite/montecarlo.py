@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import _phi
-from .generator import ModelSpec, _require_int, _sampling_grid
+from .generator import ModelSpec, _phi, _require_int, _sampling_grid
 from .pricing import PriceRequest
 
 @dataclass(frozen=True)

@@ -277,11 +277,11 @@ def _average_moments(engine: CorrelatorEngine, t: float, y_t: float,
     """``E[X^i]`` of the discrete average for ``i = 0..order``, from the engine's cache.
 
     The one owner of ``engine.moments``.  One sampling time takes one
-    conditional moment vector, cached per order because its exponential
-    depends on the order.  More sampling times take the multinomial
-    expansion over correlators; a cached vector that is too short is
-    extended by the missing orders only, and since each order is summed on
-    its own, the result is the same as computing every order afresh.
+    conditional moment vector, cached per order.  More sampling times take
+    the multinomial expansion over correlators; a cached vector that is too
+    short is extended by the missing orders only, and since each order is
+    summed on its own, the result is the same as computing every order
+    afresh.
     """
     single = len(times) == 1
     key = (t, y_t, times, order) if single else (t, y_t, times)
@@ -325,7 +325,7 @@ def _discounted_sums(request: PriceRequest, engine: CorrelatorEngine | None,
 def european_price(request: PriceRequest, engine: CorrelatorEngine | None = None) -> PriceReport:
     """Price of a call on the single-time value: :func:`asian_price` at ``m = 0``.
 
-    The moments come from one matrix exponential, shared across strikes
+    The moments come from one closed-form transition, shared across strikes
     and scales through ``engine``.
     """
     if request.m != 0:

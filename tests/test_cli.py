@@ -71,8 +71,8 @@ class TestPriceCommand:
 
     def test_auto_order_capped_for_jump_model(self, capsys):
         # the fig8 jump moments leave double range: the order grows no
-        # further than the model's limit, and an order whose exponential
-        # overflows below it ends the growth at the last order that priced
+        # further than the model's limit, and an order whose moments
+        # overflow below it ends the growth at the last order that priced
         code = main([
             "price", "--model", "jd", "--nig", "1", "0", "0", "0.05",
             "--b0", "-0.02", "--b1", "0.01", "--sigma0", "0.49", "--y0", "2",
@@ -94,11 +94,11 @@ class TestPriceCommand:
         err = capsys.readouterr().err
         assert code == 3
         assert "order capped at 172; order 200 exceeds max_order(model) // (m + 1) = 172 // 1" in err
-        assert "numerical failure: order 172 failed: matrix exponential overflowed" in err
+        assert "numerical failure: order 172 failed: moment vector overflowed at order 172" in err
 
     def test_step_overflow_is_numerical_failure(self, capsys):
         # alpha = 0.005 keeps the generator finite up to order 83, but not
-        # its product with the two-year step
+        # its transition over the two-year step
         code = main([
             "price", "--model", "jd", "--nig", "0.005", "0", "0", "1.0",
             "--b0", "-0.02", "--b1", "0.01", "--sigma0", "0.49", "--y0", "2",
@@ -106,7 +106,7 @@ class TestPriceCommand:
         ])
         err = capsys.readouterr().err
         assert code == 3
-        assert "numerical failure: order 83 failed: generator of order 83 overflowed" in err
+        assert "numerical failure: order 83 failed: transition of order 83 over the step 2.0 overflowed" in err
 
     def test_order_within_cap_is_silent(self, capsys):
         code = main([

@@ -2,8 +2,10 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from math import comb
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from asianhermite.generator import (
     MAX_GENERATOR_ORDER,
     _levy_abs_moment_quadrature,
     _levy_table,
+    _transition,
     levy_moment_quadrature,
 )
 
@@ -241,13 +244,13 @@ class TestOrderLimit:
         assert done.returncode == 0, done.stderr
 
     def test_step_overflow_is_numerical_error(self):
-        # the generator is finite at the limit 83 but not times a 2-year step
+        # the generator is finite at the limit 83 but not its 2-year transition
         spec = ModelSpec(-0.02, 0.01, 0.49, NigParams(0.005, 0.0, 0.0, 1.0))
         assert max_order(spec) == 83
-        with pytest.raises(NumericalError, match="order 83 overflowed when scaled by the step 2.0"):
+        with pytest.raises(NumericalError, match="order 83 over the step 2.0 overflowed"):
             moment_vector(spec, 83, 0.0, 2.0, 2.0)
         engine = CorrelatorEngine(spec)
-        with pytest.raises(NumericalError, match="order 83 overflowed"):
+        with pytest.raises(NumericalError, match="order 83 over the step 2.0 overflowed"):
             engine.correlator(CorrelatorQuery(t=0.0, y_t=2.0, times=(2.0,), powers=(83,)))
 
     def test_gaussian_limit(self, ou_model):
@@ -347,8 +350,8 @@ class TestOrderLimit:
     def test_scipy_loads_only_where_called(self, tmp_path):
         # the package, the CLI, the law of a Gaussian average and Monte Carlo
         # load no SciPy; the series, jump models and the run command
-        # included, loads scipy.linalg and scipy.special and never
-        # scipy.integrate
+        # included, load scipy.special only; scipy.linalg waits for a
+        # reference path, and nothing loads scipy.integrate
         script = (
             "import sys\n"
             "def scipy_modules():\n"
@@ -367,7 +370,6 @@ class TestOrderLimit:
             "    ah.mc_price(spec, req, ah.McConfig(paths=200, batches=2, refine=2))\n"
             "assert not scipy_modules(), scipy_modules()\n"
             "ah.european_price(ah.PriceRequest(2.0, 0.0, 0.0, (2.0,), basis, ou, 2.0))\n"
-            "assert 'scipy.linalg' in sys.modules\n"
             "assert 'scipy.special' in sys.modules\n"
             "assert 'scipy.integrate' not in sys.modules\n"
             "ah.generator_matrix(jd, 8)\n"
@@ -376,7 +378,11 @@ class TestOrderLimit:
             "assert 'scipy.integrate' not in sys.modules\n"
             f"assert asianhermite.cli.main(['run', 'fig8', '--no-mc', '--out', {str(tmp_path)!r}]) == 0\n"
             "top = {m.split('.')[1] for m in scipy_modules() if m.count('.') == 1}\n"
-            "assert not {'integrate', 'optimize', 'sparse'} & top, sorted(top)\n"
+            "assert not {'integrate', 'linalg', 'optimize', 'sparse'} & top, sorted(top)\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "query = ah.CorrelatorQuery(t=0.0, y_t=2.0, times=(1.0, 2.0), powers=(1, 2))\n"
+            "ah.correlator_tower_oracle(jd, query)\n"
+            "assert 'scipy.linalg' in sys.modules\n"
         )
         _run_fresh(script)
 
@@ -461,6 +467,87 @@ class TestMatrixExponential:
                 left = matrix_exponential(g * s) @ matrix_exponential(g * t)
                 right = matrix_exponential(g * (s + t))
                 np.testing.assert_allclose(left, right, rtol=1e-9, atol=1e-12)
+
+
+# the models the closed-form transition is checked on: OU, Brownian, the
+# fig6 OU, a strongly mean-reverting OU, the fig8 jump model, a skewed NIG
+# and an OU whose drift_lin is barely off zero
+TRANSITION_MODELS = {
+    "ou": ModelSpec(-0.02, 0.01, 0.98),
+    "bm": ModelSpec(0.0, 0.0, 1.0),
+    "fig6": ModelSpec(-0.2, 0.01, 0.98),
+    "ou-b1-neg": ModelSpec(0.1, -0.5, 0.98),
+    "fig8": ModelSpec(-0.02, 0.01, 0.49, NIG_REF),
+    "skewed-nig": ModelSpec(-0.02, 0.01, 0.49, NigParams(alpha=2.0, beta=0.5, mu=0.0, delta=0.1)),
+    "ou-b1-tiny": ModelSpec(-0.02, 1e-12, 0.98),
+}
+
+
+def assert_rows_close(got, want, tol):
+    """Every entry within ``tol`` of the largest entry of its row of ``want``."""
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= tol * scale), np.max(np.abs(got - want) / scale)
+
+
+class TestTransition:
+    @pytest.mark.parametrize("n", [8, 40, 80, 120])
+    @pytest.mark.parametrize("name", sorted(set(TRANSITION_MODELS) - {"ou-b1-tiny"}))
+    def test_matches_reference_exponential(self, name, n):
+        # at drift_lin = 1e-12 SciPy's exponential itself is off by up to 6e-5
+        # of a row's largest entry (n = 40), so that model is checked against
+        # the 60-digit exponential below instead
+        spec = TRANSITION_MODELS[name]
+        for dt in (0.0, 0.01, 0.5, 2.0):
+            want = matrix_exponential(generator_matrix(spec, n) * dt)
+            assert_rows_close(_transition(spec, dt, n), want, 1e-12)
+
+    @pytest.mark.parametrize("name", ["ou", "fig6", "ou-b1-neg", "fig8", "skewed-nig"])
+    def test_semigroup_property(self, name):
+        spec = TRANSITION_MODELS[name]
+        for n in (8, 40):
+            for s, t in ((0.3, 1.1), (0.01, 2.0)):
+                both = _transition(spec, s, n) @ _transition(spec, t, n)
+                assert_rows_close(both, _transition(spec, s + t, n), 1e-12)
+
+    def test_moments_match_high_precision_exponential(self):
+        # a 60-digit exponential of the same generator; its cost grows
+        # steeply with the order, so orders stay at 30 and below
+        cases = (("fig6", 30, 2.0, 20.0), ("fig8", 20, 2.0, 2.0), ("skewed-nig", 20, 0.5, 2.0),
+                 ("ou-b1-tiny", 20, 0.5, 2.0))
+        with mp.workdps(60):
+            for name, n, dt, y in cases:
+                spec = TRANSITION_MODELS[name]
+                prop = mp.expm(mp.matrix(generator_matrix(spec, n).tolist()) * dt)
+                want = prop * mp.matrix([mp.mpf(y) ** k for k in range(n + 1)])
+                got = moment_vector(spec, n, 0.0, dt, y)
+                rel = [abs((got[k] - want[k]) / want[k]) for k in range(n + 1)]
+                assert max(rel) <= 1e-14, (name, float(max(rel)))
+
+    def test_tiny_drift_lin_approaches_zero(self):
+        tiny = TRANSITION_MODELS["ou-b1-tiny"]
+        flat = ModelSpec(tiny.drift_const, 0.0, tiny.diff_sq)
+        for dt in (0.01, 0.5, 2.0):
+            assert_rows_close(_transition(tiny, dt, 40), _transition(flat, dt, 40), 1e-10)
+
+    def test_entry_overflow_is_numerical_error(self):
+        # the Levy moments of alpha = 0.005 are finite to order 83, but the
+        # moments of the two-year increment are not
+        spec = ModelSpec(-0.02, 0.01, 0.49, NigParams(0.005, 0.0, 0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="order 83 over the step 2.0 overflowed"):
+                _transition(spec, 2.0, 83)
+
+    def test_expm1_overflow_is_numerical_error(self):
+        # n b1 dt = 800 > 709: the kernel's expm1 leaves double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="order 80 over the step 1.0 overflowed"):
+                _transition(ModelSpec(0.0, 10.0, 1.0), 1.0, 80)
+
+    def test_order_checked_against_the_model_limit(self, jd_model):
+        with pytest.raises(ValueError, match="limit 172"):
+            _transition(jd_model, 1.0, 173)
 
 
 class TestMoment:

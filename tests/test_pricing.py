@@ -29,7 +29,7 @@ from asianhermite import (
     stopping_criterion,
     theta,
 )
-from asianhermite import generator
+from asianhermite import correlators, generator
 from asianhermite.pricing import (
     _build_report,
     _expanded_moments,
@@ -466,8 +466,6 @@ class TestGreeks:
 
     @pytest.mark.parametrize("m", (0, 1))
     def test_greeks_reuse_the_price_moments(self, ou_model, monkeypatch, m):
-        from asianhermite import correlators, generator
-
         calls = []
 
         def counting(owner, attr):
@@ -480,7 +478,8 @@ class TestGreeks:
             monkeypatch.setattr(owner, attr, wrapper)
 
         for owner in (generator, correlators):
-            counting(owner, "matrix_exponential")
+            for attr in ("matrix_exponential", "_transition"):
+                counting(owner, attr)
         counting(CorrelatorEngine, "_chain")
         engine = CorrelatorEngine(ou_model)
         req = book_request(ou_model, m, 40, 0.3, engine=engine)
@@ -528,12 +527,14 @@ class TestHelpers:
 
     def test_law_runs_no_chain(self, ou_model, jd_model, monkeypatch):
         # the mean and the width of the average are closed forms: no
-        # correlator chain and no matrix exponential
+        # correlator chain, no matrix exponential and no transition matrix
         def refuse(*args, **kwargs):
             raise AssertionError("the law of the average ran a chain or an exponential")
 
         monkeypatch.setattr(CorrelatorEngine, "_chain", refuse)
-        monkeypatch.setattr(generator, "matrix_exponential", refuse)
+        for owner in (generator, correlators):
+            for attr in ("matrix_exponential", "_transition"):
+                monkeypatch.setattr(owner, attr, refuse)
         times = (0.5, 1.2, 2.0)
         for model in (ou_model, jd_model):
             assert math.isfinite(default_drift(model, 0.0, 2.0, times))
